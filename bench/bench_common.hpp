@@ -157,9 +157,9 @@ inline const std::vector<std::string>& summary_columns() {
   return cols;
 }
 
-inline std::vector<std::string> summary_cells(
-    const core::ExperimentResult& r) {
-  return {r.approach, ReportTable::fmt(r.overall_fid),
+inline std::vector<std::string> summary_cells(core::Approach approach,
+                                              const core::RunReport& r) {
+  return {core::to_string(approach), ReportTable::fmt(r.overall_fid),
           ReportTable::fmt(r.violation_ratio),
           ReportTable::fmt(r.mean_latency),
           ReportTable::fmt(100.0 * r.light_served_fraction)};
@@ -168,15 +168,15 @@ inline std::vector<std::string> summary_cells(
 /// Timeline rows (Figure 5/8 shape): per window time, demand, FID,
 /// violation ratio, and the threshold sampled from the nearest control
 /// snapshot at or before the window.
-inline void add_timeline_rows(util::CsvWriter& csv,
-                              const core::ExperimentResult& r,
+inline void add_timeline_rows(util::CsvWriter& csv, core::Approach approach,
+                              const core::RunReport& r,
                               const trace::RateTrace& tr) {
   for (const auto& pt : r.timeline) {
     double threshold = 0.0;
     for (const auto& h : r.control_history)
       if (h.time <= pt.time) threshold = h.decision.threshold();
     csv.add_row(std::vector<std::string>{
-        r.approach, util::CsvWriter::format(pt.time),
+        core::to_string(approach), util::CsvWriter::format(pt.time),
         util::CsvWriter::format(tr.qps_at(pt.time)),
         util::CsvWriter::format(pt.fid),
         util::CsvWriter::format(pt.violation_ratio),

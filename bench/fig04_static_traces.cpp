@@ -34,7 +34,7 @@ int main() {
       rc.approach = approach;
       const auto r = run_experiment(env, rc);
       table.row(std::vector<std::string>{
-          load_names[li], r.approach, "-",
+          load_names[li], core::to_string(approach), "-",
           bench::ReportTable::fmt(r.violation_ratio),
           bench::ReportTable::fmt(r.overall_fid)});
     }
@@ -45,7 +45,8 @@ int main() {
         rc.over_provision = lambda;
         const auto r = run_experiment(env, rc);
         table.row(std::vector<std::string>{
-            load_names[li], r.approach, bench::ReportTable::fmt(lambda),
+            load_names[li], core::to_string(approach),
+            bench::ReportTable::fmt(lambda),
             bench::ReportTable::fmt(r.violation_ratio),
             bench::ReportTable::fmt(r.overall_fid)});
       }

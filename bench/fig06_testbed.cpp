@@ -34,10 +34,10 @@ void run_cascade(const std::string& cascade, double min_qps, double max_qps,
     rc.total_workers = 16;
     rc.trace = tr;
     const auto r = run_experiment(env, rc);
-    std::printf("%-18s %-10.2f %-14.3f\n", r.approach.c_str(),
+    std::printf("%-18s %-10.2f %-14.3f\n", core::to_string(approach),
                 r.overall_fid, r.violation_ratio);
     csv.add_row(std::vector<std::string>{
-        cascade, r.approach, "simulator",
+        cascade, core::to_string(approach), "simulator",
         util::CsvWriter::format(r.overall_fid),
         util::CsvWriter::format(r.violation_ratio)});
     if (approach == core::Approach::kDiffServe) {

@@ -26,8 +26,8 @@ int main() {
     rc.total_workers = 16;
     rc.trace = tr;
     const auto r = run_experiment(env, rc);
-    table.row(bench::summary_cells(r));
-    bench::add_timeline_rows(timeline_csv, r, tr);
+    table.row(bench::summary_cells(approach, r));
+    bench::add_timeline_rows(timeline_csv, approach, r, tr);
   }
   std::printf("[csv] %s\n", bench::csv_path("fig08_ablation").c_str());
   return 0;

@@ -50,7 +50,7 @@ int main() {
             s < r.stage_served_fraction.size()
                 ? bench::ReportTable::fmt(100.0 * r.stage_served_fraction[s])
                 : "-");
-      cells.push_back(bench::ReportTable::fmt(r.mean_solve_ms));
+      cells.push_back(bench::ReportTable::fmt(r.mean_solve_ms()));
       table.row(cells);
     }
   }

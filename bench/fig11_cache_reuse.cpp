@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
       std::snprintf(label, sizeof(label), "cap%zu_s%.1f", cap, s);
       table.row(std::vector<std::string>{
           label, std::to_string(cap), bench::ReportTable::fmt(s),
-          bench::ReportTable::fmt(r.cache_hit_ratio),
-          bench::ReportTable::fmt(r.cache_exact_hit_ratio),
+          bench::ReportTable::fmt(r.cache.hit_ratio()),
+          bench::ReportTable::fmt(r.cache.exact_hit_ratio()),
           bench::ReportTable::fmt(r.overall_fid),
           bench::ReportTable::fmt(r.violation_ratio),
           bench::ReportTable::fmt(r.mean_latency),

@@ -59,15 +59,13 @@ int main(int argc, char** argv) {
   rc.trace = tr;
   rc.controller.initial_demand_guess = tr.qps_at(0.0);
   const auto bare = run_experiment(env, rc);
-  const double bare_goodput =
-      static_cast<double>(bare.completed + bare.dropped) *
-      (1.0 - bare.violation_ratio) / duration;
+  const double bare_goodput = bare.goodput_qps;
   table.row(std::vector<std::string>{
       "bare_engine", "1", "0", bench::ReportTable::fmt(bare.overall_fid),
       bench::ReportTable::fmt(bare.violation_ratio),
       bench::ReportTable::fmt(bare.mean_latency),
       bench::ReportTable::fmt(bare_goodput),
-      std::to_string(bare.reconfigurations)});
+      std::to_string(bare.plans_pushed())});
 
   control::ExhaustiveAllocator alloc;
   double worst_hop0_ratio = 1.0;
@@ -88,7 +86,7 @@ int main(int argc, char** argv) {
           bench::ReportTable::fmt(r.violation_ratio),
           bench::ReportTable::fmt(r.mean_latency),
           bench::ReportTable::fmt(r.goodput_qps),
-          std::to_string(r.cluster_reconfigurations)});
+          std::to_string(r.plans_pushed())});
       if (hop == 0.0 && bare_goodput > 0.0)
         worst_hop0_ratio =
             std::min(worst_hop0_ratio, r.goodput_qps / bare_goodput);

@@ -38,9 +38,9 @@ struct Mix {
   double batch_share;
 };
 
-core::ExperimentResult run_cell(const core::CascadeEnvironment& env,
-                                const trace::RateTrace& tr, const Mix& mix,
-                                bool class_aware) {
+core::RunReport run_cell(const core::CascadeEnvironment& env,
+                         const trace::RateTrace& tr, const Mix& mix,
+                         bool class_aware) {
   core::RunConfig rc;
   rc.approach = core::Approach::kDiffServeExhaustive;
   rc.total_workers = 8;
@@ -58,11 +58,11 @@ core::ExperimentResult run_cell(const core::CascadeEnvironment& env,
   return run_experiment(env, rc);
 }
 
-double class_goodput(const core::ExperimentResult& r, engine::QueryClass c,
+double class_goodput(const core::RunReport& r, engine::QueryClass c,
                      double duration) {
-  const auto i = static_cast<std::size_t>(c);
-  return static_cast<double>(r.class_completed[i]) *
-         (1.0 - r.class_violation_ratio[i]) / duration;
+  const auto& row = r.classes[static_cast<std::size_t>(c)];
+  return static_cast<double>(row.completed) * (1.0 - row.violation_ratio) /
+         duration;
 }
 
 }  // namespace
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   for (const Mix& mix : mixes) {
     for (const double qps : loads) {
       const auto tr = trace::RateTrace::constant(qps, duration);
-      std::array<core::ExperimentResult, 2> runs = {
+      std::array<core::RunReport, 2> runs = {
           run_cell(env, tr, mix, /*class_aware=*/false),
           run_cell(env, tr, mix, /*class_aware=*/true)};
       for (int aware = 0; aware <= 1; ++aware) {
@@ -113,16 +113,16 @@ int main(int argc, char** argv) {
         table.row(std::vector<std::string>{
             label, bench::ReportTable::fmt(qps), std::to_string(aware),
             bench::ReportTable::fmt(r.violation_ratio),
-            bench::ReportTable::fmt(r.class_violation_ratio[i]),
-            bench::ReportTable::fmt(r.class_violation_ratio[s]),
-            bench::ReportTable::fmt(r.class_violation_ratio[b]),
+            bench::ReportTable::fmt(r.classes[i].violation_ratio),
+            bench::ReportTable::fmt(r.classes[s].violation_ratio),
+            bench::ReportTable::fmt(r.classes[b].violation_ratio),
             bench::ReportTable::fmt(
                 class_goodput(r, engine::QueryClass::kInteractive, duration)),
             bench::ReportTable::fmt(
                 class_goodput(r, engine::QueryClass::kStandard, duration)),
             bench::ReportTable::fmt(
                 class_goodput(r, engine::QueryClass::kBatch, duration)),
-            std::to_string(r.class_dropped[b]),
+            std::to_string(r.classes[b].dropped),
             bench::ReportTable::fmt(r.overall_fid)});
       }
       // The policy's two promises, checked on every cell: the tight class
@@ -130,21 +130,21 @@ int main(int argc, char** argv) {
       // deadlines, and admitted batch work is never shed.
       const auto i = static_cast<std::size_t>(engine::QueryClass::kInteractive);
       const auto b = static_cast<std::size_t>(engine::QueryClass::kBatch);
-      const double gain = runs[0].class_violation_ratio[i] -
-                          runs[1].class_violation_ratio[i];
+      const double gain = runs[0].classes[i].violation_ratio -
+                          runs[1].classes[i].violation_ratio;
       worst_gain = std::min(worst_gain, gain);
-      if (smoke && runs[1].class_violation_ratio[i] >=
-                       runs[0].class_violation_ratio[i]) {
+      if (smoke && runs[1].classes[i].violation_ratio >=
+                       runs[0].classes[i].violation_ratio) {
         std::fprintf(stderr,
                      "FAIL: %s q%.0f interactive violation %.4f (aware) not "
                      "strictly below %.4f (classless FIFO)\n",
-                     mix.name, qps, runs[1].class_violation_ratio[i],
-                     runs[0].class_violation_ratio[i]);
+                     mix.name, qps, runs[1].classes[i].violation_ratio,
+                     runs[0].classes[i].violation_ratio);
         gates_ok = false;
       }
-      if (smoke && runs[1].class_dropped[b] != 0) {
+      if (smoke && runs[1].classes[b].dropped != 0) {
         std::fprintf(stderr, "FAIL: %s q%.0f dropped %zu batch-class queries\n",
-                     mix.name, qps, runs[1].class_dropped[b]);
+                     mix.name, qps, runs[1].classes[b].dropped);
         gates_ok = false;
       }
     }

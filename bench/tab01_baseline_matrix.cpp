@@ -25,7 +25,7 @@ int main() {
     rc.total_workers = 16;
     rc.trace = tr;
     const auto r = run_experiment(env, rc);
-    table.row(bench::summary_cells(r));
+    table.row(bench::summary_cells(approach, r));
   }
   return 0;
 }

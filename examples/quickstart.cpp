@@ -48,7 +48,7 @@ int main() {
   run.trace = trace::RateTrace::azure_like(4.0, 24.0, 240.0, /*seed=*/3);
   const auto result = run_experiment(env, run);
 
-  std::printf("--- results (%s) ---\n", result.approach.c_str());
+  std::printf("--- results (%s) ---\n", core::to_string(run.approach));
   std::printf("queries submitted:   %zu\n", result.submitted);
   std::printf("completed / dropped: %zu / %zu\n", result.completed,
               result.dropped);
@@ -60,7 +60,7 @@ int main() {
   std::printf("served by light:     %.1f%%\n",
               100.0 * result.light_served_fraction);
   std::printf("MILP solve time:     %.2f ms/decision\n\n",
-              result.mean_solve_ms);
+              result.mean_solve_ms());
 
   std::printf("--- controller decisions (every 25 s) ---\n");
   std::printf("%-8s %-10s %-6s %-6s %-6s %-6s %-10s\n", "time", "demand",
@@ -96,8 +96,8 @@ int main() {
 
   std::printf("\n--- with the prompt-reuse cache (Zipf prompts) ---\n");
   std::printf("cache hit ratio:     %.1f%% (%.1f%% exact)\n",
-              100.0 * reuse.cache_hit_ratio,
-              100.0 * reuse.cache_exact_hit_ratio);
+              100.0 * reuse.cache.hit_ratio(),
+              100.0 * reuse.cache.exact_hit_ratio());
   std::printf("response quality:    FID %.2f\n", reuse.overall_fid);
   std::printf("SLO violations:      %.1f%%\n",
               100.0 * reuse.violation_ratio);

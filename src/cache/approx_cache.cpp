@@ -19,6 +19,24 @@ const char* to_string(HitLevel level) {
   return "?";
 }
 
+CacheStats& CacheStats::operator+=(const CacheStats& o) {
+  lookups += o.lookups;
+  exact_hits += o.exact_hits;
+  near_hits += o.near_hits;
+  far_hits += o.far_hits;
+  insertions += o.insertions;
+  latent_insertions += o.latent_insertions;
+  evictions += o.evictions;
+  step_fraction_sum += o.step_fraction_sum;
+  near_step_fraction_sum += o.near_step_fraction_sum;
+  far_step_fraction_sum += o.far_step_fraction_sum;
+  lsh_probed_cells += o.lsh_probed_cells;
+  lsh_probe_candidates += o.lsh_probe_candidates;
+  heap_compactions += o.heap_compactions;
+  heap_stale_pops += o.heap_stale_pops;
+  return *this;
+}
+
 double CacheStats::hit_ratio() const {
   if (lookups == 0) return 0.0;
   return static_cast<double>(hits()) / static_cast<double>(lookups);

@@ -250,6 +250,8 @@ struct CacheStats {
   std::uint64_t heap_compactions = 0;
   std::uint64_t heap_stale_pops = 0;
 
+  /// Adds every counter of `o` (all are additive: shard totals sum).
+  CacheStats& operator+=(const CacheStats& o);
   std::uint64_t hits() const { return exact_hits + near_hits + far_hits; }
   /// Any-level hits over lookups (0 before the first lookup).
   double hit_ratio() const;

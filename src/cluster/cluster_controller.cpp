@@ -10,27 +10,6 @@
 
 namespace diffserve::cluster {
 
-namespace {
-
-void accumulate(cache::CacheStats& into, const cache::CacheStats& s) {
-  into.lookups += s.lookups;
-  into.exact_hits += s.exact_hits;
-  into.near_hits += s.near_hits;
-  into.far_hits += s.far_hits;
-  into.insertions += s.insertions;
-  into.latent_insertions += s.latent_insertions;
-  into.evictions += s.evictions;
-  into.step_fraction_sum += s.step_fraction_sum;
-  into.near_step_fraction_sum += s.near_step_fraction_sum;
-  into.far_step_fraction_sum += s.far_step_fraction_sum;
-  into.lsh_probed_cells += s.lsh_probed_cells;
-  into.lsh_probe_candidates += s.lsh_probe_candidates;
-  into.heap_compactions += s.heap_compactions;
-  into.heap_stale_pops += s.heap_stale_pops;
-}
-
-}  // namespace
-
 ClusterController::ClusterController(
     ShardFrontend& frontend, const engine::CascadeEngine& reference,
     int workers_per_shard, double slo_seconds,
@@ -205,7 +184,7 @@ void ClusterController::solve() {
     violation_sum += m.recent_violation_ratio;
     ++violation_n;
     cache_enabled = cache_enabled || m.cache_enabled;
-    accumulate(summed, m.cache);
+    summed += m.cache;
     for (std::size_t st = 0; st < m.stages.size() && st < n_stages; ++st) {
       queue_sum[st] += m.stages[st].queue_length;
       arrival_sum[st] += m.stages[st].arrival_rate;
@@ -252,14 +231,18 @@ void ClusterController::solve() {
   }
 
   const control::AllocationDecision d = allocator_->allocate(in);
-  std::vector<engine::AllocationPlan> plans =
+  const std::vector<engine::AllocationPlan> plans =
       split_plan(d, shard_demand, workers_per_shard_);
   for (std::size_t s = 0; s < plans.size(); ++s)
     frontend_.send_to_shard(
         s, net::encode(net::PlanMsg{static_cast<std::uint32_t>(s), plans[s]}));
 
-  history_.push_back({now, in.demand_qps, observed,
-                      in.recent_violation_ratio, d, std::move(plans)});
+  const bool cache_on = cfg_.control.cache_aware && cache_seen_enabled_;
+  history_.push_back({now, in.demand_qps, observed, in.recent_violation_ratio,
+                      effective_exact_hit_ratio(),
+                      cache_on ? cache_near_share_ewma_.value() : 0.0,
+                      cache_on ? cache_far_share_ewma_.value() : 0.0,
+                      service_discount, d, {}, in.slo_seconds});
   DS_LOG_DEBUG("cluster-controller")
       << "t=" << now << " demand=" << in.demand_qps
       << " shards=" << frontend_.shard_count()

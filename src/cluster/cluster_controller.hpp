@@ -78,14 +78,9 @@ class ClusterController {
   /// see the whole cluster's data path. Thread-safe.
   void observe_confidence(std::size_t boundary, double confidence);
 
-  struct Snapshot {
-    double time = 0.0;
-    double demand_estimate = 0.0;
-    double observed_demand = 0.0;
-    double recent_violation_ratio = 0.0;
-    control::AllocationDecision decision;
-    std::vector<engine::AllocationPlan> shard_plans;
-  };
+  /// One record per global decision, in the single-engine controller's
+  /// shape (class demand stays zero: the global solve is classless).
+  using Snapshot = control::Controller::Snapshot;
   const std::vector<Snapshot>& history() const { return history_; }
 
   /// See the header comment. Exposed for direct unit testing.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster_controller.hpp"
 #include "cluster/shard_node.hpp"
@@ -18,21 +19,6 @@
 namespace diffserve::cluster {
 
 namespace {
-
-/// Non-owning adapter: the ClusterController owns its allocator, but the
-/// runners borrow one from the caller (mirrors runtime::run_threaded).
-class BorrowedAllocator final : public control::Allocator {
- public:
-  explicit BorrowedAllocator(control::Allocator& inner) : inner_(inner) {}
-  control::AllocationDecision allocate(
-      const control::AllocationInput& input) override {
-    return inner_.allocate(input);
-  }
-  std::string name() const override { return inner_.name(); }
-
- private:
-  control::Allocator& inner_;
-};
 
 engine::EngineConfig shard_engine_config(const ClusterRunConfig& cfg,
                                          double slo, double launch_slack,
@@ -75,50 +61,22 @@ FrontendConfig frontend_config(const ClusterRunConfig& cfg, double slo) {
   return fcfg;
 }
 
-ClusterResult harvest(const ShardFrontend& frontend,
-                      const std::vector<std::unique_ptr<engine::CascadeEngine>>&
-                          engines,
-                      const ClusterController& cc,
-                      const trace::RateTrace& trace, bool record) {
-  ClusterResult r;
-  const auto& sink = frontend.sink();
-  r.submitted = frontend.submitted();
-  r.completed = sink.completed();
-  r.dropped = sink.dropped();
-  r.violation_ratio = sink.violation_ratio();
-  r.mean_latency = sink.mean_latency();
-  r.overall_fid = (record && r.completed >= 2) ? sink.overall_fid() : -1.0;
-  const double duration = trace.duration();
-  r.goodput_qps =
-      duration > 0.0
-          ? static_cast<double>(sink.total()) * (1.0 - r.violation_ratio) /
-                duration
-          : 0.0;
-  r.cluster_reconfigurations = cc.history().size();
-  for (std::size_t c = 0; c < engine::kQueryClassCount; ++c) {
-    const auto cls = static_cast<engine::QueryClass>(c);
-    r.class_completed[c] = sink.class_completed(cls);
-    r.class_dropped[c] = sink.class_dropped(cls);
-    r.class_violation_ratio[c] = sink.class_violation_ratio(cls);
-    r.class_mean_latency[c] = sink.class_mean_latency(cls);
-  }
-  r.shards.reserve(engines.size());
-  for (const auto& eng : engines) {
-    ShardBreakdown b;
-    b.submitted = eng->submitted();
-    b.reconfigurations = eng->reconfigurations();
-    b.cache_exact_hit_ratio = eng->cache_stats().exact_hit_ratio();
-    r.shards.push_back(b);
-  }
-  return r;
+core::RunReport report(
+    const ShardFrontend& frontend,
+    const std::vector<std::unique_ptr<engine::CascadeEngine>>& engines,
+    const ClusterController& cc, const trace::RateTrace& trace) {
+  std::vector<const engine::CascadeEngine*> shards;
+  for (const auto& eng : engines) shards.push_back(eng.get());
+  return core::make_run_report(frontend.sink(), frontend.submitted(), shards,
+                               trace.duration(), cc.history());
 }
 
 }  // namespace
 
-ClusterResult run_cluster_des(const core::CascadeEnvironment& env,
-                              control::Allocator& allocator,
-                              const trace::RateTrace& trace,
-                              const ClusterRunConfig& cfg) {
+core::RunReport run_cluster_des(const core::CascadeEnvironment& env,
+                                control::Allocator& allocator,
+                                const trace::RateTrace& trace,
+                                const ClusterRunConfig& cfg) {
   DS_REQUIRE(cfg.shards >= 1, "need at least one shard");
   DS_REQUIRE(trace.samples().size() >= 2, "run needs a trace");
   const double slo =
@@ -151,7 +109,7 @@ ClusterResult run_cluster_des(const core::CascadeEnvironment& env,
   }
 
   ClusterController cc(frontend, *engines.front(), cfg.workers_per_shard, slo,
-                       std::make_unique<BorrowedAllocator>(allocator),
+                       std::make_unique<control::BorrowedAllocator>(allocator),
                        env.offline_profiles(),
                        cluster_controller_config(cfg, trace));
   for (auto& eng : engines)
@@ -171,13 +129,13 @@ ClusterResult run_cluster_des(const core::CascadeEnvironment& env,
   cc.stop();
   sim.run_all();  // drain stragglers (batches launched at the horizon)
 
-  return harvest(frontend, engines, cc, trace, cfg.record_terminal_events);
+  return report(frontend, engines, cc, trace);
 }
 
-ClusterResult run_cluster_threaded(const core::CascadeEnvironment& env,
-                                   control::Allocator& allocator,
-                                   const trace::RateTrace& trace,
-                                   const ClusterRunConfig& cfg) {
+core::RunReport run_cluster_threaded(const core::CascadeEnvironment& env,
+                                     control::Allocator& allocator,
+                                     const trace::RateTrace& trace,
+                                     const ClusterRunConfig& cfg) {
   DS_REQUIRE(cfg.shards >= 1, "need at least one shard");
   DS_REQUIRE(trace.samples().size() >= 2, "run needs a trace");
   const double slo =
@@ -212,7 +170,7 @@ ClusterResult run_cluster_threaded(const core::CascadeEnvironment& env,
   }
 
   ClusterController cc(frontend, *engines.front(), cfg.workers_per_shard, slo,
-                       std::make_unique<BorrowedAllocator>(allocator),
+                       std::make_unique<control::BorrowedAllocator>(allocator),
                        env.offline_profiles(),
                        cluster_controller_config(cfg, trace));
   for (auto& eng : engines)
@@ -261,7 +219,7 @@ ClusterResult run_cluster_threaded(const core::CascadeEnvironment& env,
   for (auto& node : nodes) node->stop();
   frontend.stop_transports();
 
-  return harvest(frontend, engines, cc, trace, cfg.record_terminal_events);
+  return report(frontend, engines, cc, trace);
 }
 
 }  // namespace diffserve::cluster

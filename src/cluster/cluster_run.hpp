@@ -16,14 +16,13 @@
 // cluster at zero hop latency is decision-identical to the bare engine.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "cache/approx_cache.hpp"
 #include "cluster/shard_frontend.hpp"
 #include "control/allocator.hpp"
 #include "core/environment.hpp"
+#include "core/run_report.hpp"
 #include "trace/arrivals.hpp"
 #include "trace/prompt_mix.hpp"
 #include "trace/rate_trace.hpp"
@@ -73,41 +72,18 @@ struct ClusterRunConfig {
   bool tcp_transport = false;
 };
 
-struct ShardBreakdown {
-  std::size_t submitted = 0;
-  std::size_t reconfigurations = 0;
-  double cache_exact_hit_ratio = 0.0;
-};
-
-struct ClusterResult {
-  double overall_fid = 0.0;  ///< -1 when fewer than 2 completions
-  double violation_ratio = 0.0;
-  double mean_latency = 0.0;
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t dropped = 0;
-  /// SLO-meeting completions per trace second.
-  double goodput_qps = 0.0;
-  std::size_t cluster_reconfigurations = 0;  ///< controller solves pushed
-  /// Per-SLO-class terminals (indexed by engine::QueryClass; with classes
-  /// disabled the kStandard row carries everything).
-  std::array<std::size_t, engine::kQueryClassCount> class_completed{};
-  std::array<std::size_t, engine::kQueryClassCount> class_dropped{};
-  std::array<double, engine::kQueryClassCount> class_violation_ratio{};
-  std::array<double, engine::kQueryClassCount> class_mean_latency{};
-  std::vector<ShardBreakdown> shards;
-};
-
-/// Deterministic discrete-event run of the sharded topology.
-ClusterResult run_cluster_des(const core::CascadeEnvironment& env,
-                              control::Allocator& allocator,
-                              const trace::RateTrace& trace,
-                              const ClusterRunConfig& cfg);
+/// Deterministic discrete-event run of the sharded topology. The report
+/// sums reconfigurations and cache counters over the shard engines; its
+/// control history holds one snapshot per global plan pushed.
+core::RunReport run_cluster_des(const core::CascadeEnvironment& env,
+                                control::Allocator& allocator,
+                                const trace::RateTrace& trace,
+                                const ClusterRunConfig& cfg);
 
 /// Real threads + real sockets, wall-clocked via util::TraceClock.
-ClusterResult run_cluster_threaded(const core::CascadeEnvironment& env,
-                                   control::Allocator& allocator,
-                                   const trace::RateTrace& trace,
-                                   const ClusterRunConfig& cfg);
+core::RunReport run_cluster_threaded(const core::CascadeEnvironment& env,
+                                     control::Allocator& allocator,
+                                     const trace::RateTrace& trace,
+                                     const ClusterRunConfig& cfg);
 
 }  // namespace diffserve::cluster

@@ -178,6 +178,20 @@ class Allocator {
   virtual std::string name() const = 0;
 };
 
+/// Non-owning adapter: controllers own their allocator, while the
+/// threaded and cluster runners borrow one from their caller.
+class BorrowedAllocator final : public Allocator {
+ public:
+  explicit BorrowedAllocator(Allocator& inner) : inner_(inner) {}
+  AllocationDecision allocate(const AllocationInput& input) override {
+    return inner_.allocate(input);
+  }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  Allocator& inner_;
+};
+
 /// Shared constraint check used by the exhaustive allocator and tests:
 /// does (workers, batches, entry_fractions) satisfy the generalized
 /// Eq. 1-4 for this input? `entry_fractions[s]` is the fraction of total

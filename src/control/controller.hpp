@@ -83,10 +83,10 @@ class Controller {
   void stop();
 
   struct Snapshot {
-    double time;
-    double demand_estimate;
-    double observed_demand;
-    double recent_violation_ratio;
+    double time = 0.0;
+    double demand_estimate = 0.0;
+    double observed_demand = 0.0;
+    double recent_violation_ratio = 0.0;
     /// Smoothed exact-hit ratio the demand estimate was discounted by
     /// (0 with the cache off or cache_aware disabled).
     double cache_exact_hit_ratio = 0.0;

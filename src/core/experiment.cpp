@@ -74,8 +74,7 @@ std::unique_ptr<control::Allocator> make_allocator(
 
 }  // namespace
 
-ExperimentResult run_experiment(const CascadeEnvironment& env,
-                                const RunConfig& cfg) {
+RunReport run_experiment(const CascadeEnvironment& env, const RunConfig& cfg) {
   DS_REQUIRE(cfg.trace.samples().size() >= 2, "run needs a trace");
   sim::Simulation sim;
 
@@ -107,41 +106,9 @@ ExperimentResult run_experiment(const CascadeEnvironment& env,
   // Drain any stragglers (e.g. batches launched right at the horizon).
   sim.run_all();
 
-  ExperimentResult r;
-  r.approach = to_string(cfg.approach);
-  const auto& sink = system.sink();
-  r.violation_ratio = sink.violation_ratio();
-  r.mean_latency = sink.mean_latency();
-  r.p99_latency = sink.completed() ? sink.latency_percentile(99.0) : 0.0;
-  r.light_served_fraction = sink.light_served_fraction();
-  r.stage_served_fraction =
-      sink.stage_served_fractions(system.engine().stage_count());
-  r.submitted = system.engine().submitted();
-  r.completed = sink.completed();
-  r.dropped = sink.dropped();
-  r.reconfigurations = system.engine().reconfigurations();
-  const auto cache_stats = system.engine().cache_stats();
-  r.cache_hit_ratio = cache_stats.hit_ratio();
-  r.cache_exact_hit_ratio = cache_stats.exact_hit_ratio();
-  r.cache_mean_probed_cells = cache_stats.mean_probed_cells();
-  r.cache_heap_compactions = cache_stats.heap_compactions;
-  for (std::size_t c = 0; c < engine::kQueryClassCount; ++c) {
-    const auto cls = static_cast<engine::QueryClass>(c);
-    r.class_completed[c] = sink.class_completed(cls);
-    r.class_dropped[c] = sink.class_dropped(cls);
-    r.class_violation_ratio[c] = sink.class_violation_ratio(cls);
-    r.class_mean_latency[c] = sink.class_mean_latency(cls);
-  }
-  r.overall_fid = sink.completed() >= 2 ? sink.overall_fid() : -1.0;
-  r.timeline = sink.timeline(cfg.timeline_window);
-  r.control_history = controller.history();
-  if (!r.control_history.empty()) {
-    double total_ms = 0.0;
-    for (const auto& h : r.control_history)
-      total_ms += h.decision.solve_time_ms;
-    r.mean_solve_ms = total_ms / static_cast<double>(r.control_history.size());
-  }
-  return r;
+  return make_run_report(system.sink(), system.engine().submitted(),
+                         {&system.engine()}, cfg.trace.duration(),
+                         controller.history(), cfg.timeline_window);
 }
 
 }  // namespace diffserve::core

@@ -4,14 +4,12 @@
 // is a set of run_experiment() calls with different approaches/traces.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "control/controller.hpp"
 #include "core/environment.hpp"
-#include "engine/metrics_sink.hpp"
+#include "core/run_report.hpp"
 #include "serving/system.hpp"
 #include "trace/arrivals.hpp"
 #include "trace/rate_trace.hpp"
@@ -55,42 +53,9 @@ struct RunConfig {
   std::uint64_t arrival_seed = 1;
   /// Simulated drain margin after the trace ends.
   double drain_seconds = 20.0;
-  double timeline_window = 10.0;
+  double timeline_window = kDefaultTimelineWindow;
 };
 
-struct ExperimentResult {
-  std::string approach;
-  double overall_fid = 0.0;
-  double violation_ratio = 0.0;
-  double mean_latency = 0.0;
-  double p99_latency = 0.0;
-  double light_served_fraction = 0.0;
-  /// Completed-query share per chain stage (size = chain depth).
-  std::vector<double> stage_served_fraction;
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t dropped = 0;
-  /// Applied plans that changed at least one worker's hosted model.
-  std::size_t reconfigurations = 0;
-  double mean_solve_ms = 0.0;
-  /// Prompt-reuse cache probe ratios (0 when the cache is disabled).
-  double cache_hit_ratio = 0.0;
-  double cache_exact_hit_ratio = 0.0;
-  /// Cache maintenance depth: mean LSH buckets probed per lookup (0 when
-  /// unindexed) and lazy-eviction-heap compactions over the run.
-  double cache_mean_probed_cells = 0.0;
-  std::uint64_t cache_heap_compactions = 0;
-  /// Per-SLO-class terminals (indexed by engine::QueryClass; with classes
-  /// disabled the kStandard row carries everything).
-  std::array<std::size_t, engine::kQueryClassCount> class_completed{};
-  std::array<std::size_t, engine::kQueryClassCount> class_dropped{};
-  std::array<double, engine::kQueryClassCount> class_violation_ratio{};
-  std::array<double, engine::kQueryClassCount> class_mean_latency{};
-  std::vector<engine::MetricsSink::TimelinePoint> timeline;
-  std::vector<control::Controller::Snapshot> control_history;
-};
-
-ExperimentResult run_experiment(const CascadeEnvironment& env,
-                                const RunConfig& cfg);
+RunReport run_experiment(const CascadeEnvironment& env, const RunConfig& cfg);
 
 }  // namespace diffserve::core

@@ -97,10 +97,6 @@ class Reader {
 
 // ---- shared sub-records ------------------------------------------------------
 
-/// Serialized Query size before the SLO-class byte was appended; frames
-/// this long decode with the pre-class layout (class defaults kStandard).
-constexpr std::size_t kQueryRecordLegacyBytes = 94;
-
 void write_query(Writer& w, const engine::Query& q) {
   w.u64(q.seq);
   w.u32(q.prompt_id);
@@ -122,12 +118,10 @@ void write_query(Writer& w, const engine::Query& q) {
   w.u8(static_cast<std::uint8_t>(q.query_class));
 }
 
-/// `with_class` distinguishes the current layout from pre-class frames
-/// (selected by the caller from the payload length); legacy records carry
-/// no class byte and decode as kStandard.
-bool read_query(Reader& r, engine::Query* q, bool with_class) {
+bool read_query(Reader& r, engine::Query* q) {
   std::uint32_t stage = 0;
   std::uint8_t hit = 0;
+  std::uint8_t cls = 0;
   const bool ok = r.u64(&q->seq) && r.u32(&q->prompt_id) &&
                   r.f64(&q->arrival_time) && r.f64(&q->deadline) &&
                   r.u32(&stage) && r.f64(&q->stage_deadline) &&
@@ -136,17 +130,14 @@ bool read_query(Reader& r, engine::Query* q, bool with_class) {
                   r.i32(&q->image_stage) && r.u8(&hit) &&
                   r.u32(&q->cache_donor) && r.f64(&q->cache_distance) &&
                   r.f64(&q->cache_step_fraction) &&
-                  r.u32(&q->cache_level_mask) && r.f64(&q->cache_resume_depth);
-  if (!ok || hit > static_cast<std::uint8_t>(cache::HitLevel::kApproxFar))
+                  r.u32(&q->cache_level_mask) &&
+                  r.f64(&q->cache_resume_depth) && r.u8(&cls);
+  if (!ok || hit > static_cast<std::uint8_t>(cache::HitLevel::kApproxFar) ||
+      cls >= engine::kQueryClassCount)
     return false;
   q->stage = stage;
   q->cache_hit = static_cast<cache::HitLevel>(hit);
-  q->query_class = engine::QueryClass::kStandard;
-  if (with_class) {
-    std::uint8_t cls = 0;
-    if (!r.u8(&cls) || cls >= engine::kQueryClassCount) return false;
-    q->query_class = static_cast<engine::QueryClass>(cls);
-  }
+  q->query_class = static_cast<engine::QueryClass>(cls);
   return true;
 }
 
@@ -232,11 +223,7 @@ Frame encode(const QueryMsg& m) {
 bool decode(const Frame& f, QueryMsg* out) {
   if (!topic_is(f, kTopicQuery)) return false;
   Reader r(f.payload);
-  // Pre-class frames are exactly one byte shorter; they decode with the
-  // legacy layout and a kStandard class.
-  const bool with_class = f.payload.size() != 4 + kQueryRecordLegacyBytes;
-  return r.u32(&out->shard) && read_query(r, &out->query, with_class) &&
-         r.done();
+  return r.u32(&out->shard) && read_query(r, &out->query) && r.done();
 }
 
 // ---- query/terminal ----------------------------------------------------------
@@ -254,9 +241,7 @@ Frame encode(const TerminalMsg& m) {
 bool decode(const Frame& f, TerminalMsg* out) {
   if (!topic_is(f, kTopicTerminal)) return false;
   Reader r(f.payload);
-  const bool with_class =
-      f.payload.size() != 4 + kQueryRecordLegacyBytes + 8 + 4 + 1;
-  return r.u32(&out->shard) && read_query(r, &out->query, with_class) &&
+  return r.u32(&out->shard) && read_query(r, &out->query) &&
          r.f64(&out->time) && r.i32(&out->served_tier) &&
          r.boolean(&out->dropped) && r.done();
 }
@@ -313,9 +298,6 @@ bool decode(const Frame& f, ShardStatsMsg* out) {
     if (!(r.f64(&s.queue_length) && r.f64(&s.arrival_rate) &&
           r.i32(&s.workers)))
       return false;
-  // Trailing per-class demand vector; pre-class frames end here.
-  out->class_demand.clear();
-  if (r.done()) return true;
   if (!r.count(&n)) return false;
   out->class_demand.resize(n);
   for (auto& d : out->class_demand)

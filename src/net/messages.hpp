@@ -76,8 +76,6 @@ struct ShardStatsMsg {
   cache::CacheStats cache;
   std::vector<StageSnapshot> stages;
   /// Per-SLO-class arrival rates (QPS, indexed by engine::QueryClass).
-  /// Trailing optional field: pre-class frames end after `stages` and
-  /// decode with this empty.
   std::vector<double> class_demand;
 };
 

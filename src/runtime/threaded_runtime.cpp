@@ -256,29 +256,10 @@ void ThreadedBackend::executor_main(Executor& ex, int index) {
   }
 }
 
-namespace {
-
-/// Non-owning adapter: the Controller owns its allocator, but run_threaded
-/// borrows one from the caller.
-class BorrowedAllocator final : public control::Allocator {
- public:
-  explicit BorrowedAllocator(control::Allocator& inner) : inner_(inner) {}
-  control::AllocationDecision allocate(
-      const control::AllocationInput& input) override {
-    return inner_.allocate(input);
-  }
-  std::string name() const override { return inner_.name(); }
-
- private:
-  control::Allocator& inner_;
-};
-
-}  // namespace
-
-RuntimeResult run_threaded(const core::CascadeEnvironment& env,
-                           control::Allocator& allocator,
-                           const trace::RateTrace& trace,
-                           const RuntimeConfig& cfg) {
+core::RunReport run_threaded(const core::CascadeEnvironment& env,
+                             control::Allocator& allocator,
+                             const trace::RateTrace& trace,
+                             const RuntimeConfig& cfg) {
   DS_REQUIRE(cfg.total_workers >= 2, "need at least two workers");
   const double slo =
       cfg.slo_seconds > 0.0 ? cfg.slo_seconds : env.default_slo();
@@ -307,7 +288,7 @@ RuntimeResult run_threaded(const core::CascadeEnvironment& env,
   ccfg.max_deferral_fraction = cfg.max_deferral_fraction;
   ccfg.initial_demand_guess = trace.qps_at(0.0);
   control::Controller controller(
-      eng, std::make_unique<BorrowedAllocator>(allocator),
+      eng, std::make_unique<control::BorrowedAllocator>(allocator),
       env.offline_profiles(), ccfg);
 
   util::Rng rng(cfg.arrival_seed);
@@ -328,30 +309,8 @@ RuntimeResult run_threaded(const core::CascadeEnvironment& env,
   controller.stop();
   backend.stop();
 
-  RuntimeResult r;
-  const auto& sink = eng.sink();
-  r.submitted = eng.submitted();
-  r.completed = sink.completed();
-  r.dropped = sink.dropped();
-  r.reconfigurations = eng.reconfigurations();
-  const auto cache_stats = eng.cache_stats();
-  r.cache_hit_ratio = cache_stats.hit_ratio();
-  r.cache_exact_hit_ratio = cache_stats.exact_hit_ratio();
-  r.cache_mean_probed_cells = cache_stats.mean_probed_cells();
-  r.cache_heap_compactions = cache_stats.heap_compactions;
-  r.violation_ratio = sink.violation_ratio();
-  r.mean_latency = sink.mean_latency();
-  r.light_served_fraction = sink.light_served_fraction();
-  r.stage_served_fraction = sink.stage_served_fractions(eng.stage_count());
-  for (std::size_t c = 0; c < engine::kQueryClassCount; ++c) {
-    const auto cls = static_cast<engine::QueryClass>(c);
-    r.class_completed[c] = sink.class_completed(cls);
-    r.class_dropped[c] = sink.class_dropped(cls);
-    r.class_violation_ratio[c] = sink.class_violation_ratio(cls);
-    r.class_mean_latency[c] = sink.class_mean_latency(cls);
-  }
-  r.overall_fid = r.completed >= 2 ? sink.overall_fid() : -1.0;
-  return r;
+  return core::make_run_report(eng.sink(), eng.submitted(), {&eng},
+                               trace.duration(), controller.history());
 }
 
 }  // namespace diffserve::runtime

@@ -33,7 +33,6 @@
 // in trace seconds, so results are directly comparable with the DES.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -47,6 +46,7 @@
 #include "cache/approx_cache.hpp"
 #include "control/allocator.hpp"
 #include "core/environment.hpp"
+#include "core/run_report.hpp"
 #include "engine/backend.hpp"
 #include "engine/plan.hpp"
 #include "trace/arrivals.hpp"
@@ -193,7 +193,8 @@ struct RuntimeConfig {
   /// Pin executor threads to CPUs (Linux; no-op elsewhere).
   bool pin_executors = false;
   /// Forwarded to the metrics sink: false skips per-query terminal
-  /// records (throughput-bench fast mode); aggregates stay exact.
+  /// records (throughput-bench fast mode); aggregates stay exact, the
+  /// report's FID is -1 and its timeline empty.
   bool record_terminal_events = true;
   trace::ArrivalConfig arrivals;
   /// Forwarded into the engine config: the approximate prompt-reuse cache
@@ -205,38 +206,12 @@ struct RuntimeConfig {
   engine::SloClassConfig slo_classes;
 };
 
-struct RuntimeResult {
-  double overall_fid = 0.0;
-  double violation_ratio = 0.0;
-  double mean_latency = 0.0;   ///< trace seconds
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t dropped = 0;
-  double light_served_fraction = 0.0;
-  /// Completed-query share per chain stage (size = chain depth).
-  std::vector<double> stage_served_fraction;
-  std::size_t reconfigurations = 0;
-  /// Prompt-reuse cache probe ratios (0 when the cache is disabled).
-  double cache_hit_ratio = 0.0;
-  double cache_exact_hit_ratio = 0.0;
-  /// Cache maintenance depth: mean LSH buckets probed per lookup (0 when
-  /// unindexed) and lazy-eviction-heap compactions over the run.
-  double cache_mean_probed_cells = 0.0;
-  std::uint64_t cache_heap_compactions = 0;
-  /// Per-SLO-class terminals (indexed by engine::QueryClass; with classes
-  /// disabled the kStandard row carries everything).
-  std::array<std::size_t, engine::kQueryClassCount> class_completed{};
-  std::array<std::size_t, engine::kQueryClassCount> class_dropped{};
-  std::array<double, engine::kQueryClassCount> class_violation_ratio{};
-  std::array<double, engine::kQueryClassCount> class_mean_latency{};
-};
-
 /// Replay `trace` through the threaded runtime with the given allocation
 /// policy. Blocks until the trace finishes and the pipeline drains. Works
 /// for any chain depth the environment carries.
-RuntimeResult run_threaded(const core::CascadeEnvironment& env,
-                           control::Allocator& allocator,
-                           const trace::RateTrace& trace,
-                           const RuntimeConfig& cfg);
+core::RunReport run_threaded(const core::CascadeEnvironment& env,
+                             control::Allocator& allocator,
+                             const trace::RateTrace& trace,
+                             const RuntimeConfig& cfg);
 
 }  // namespace diffserve::runtime

@@ -836,9 +836,9 @@ TEST(CacheServing, ZipfTraceHitsAndImprovesLatencyAndSlo) {
   const auto on = core::run_experiment(shared_env(), on_cfg);
 
   // The repetition in the Zipfian trace is reused, not recomputed.
-  EXPECT_GT(on.cache_hit_ratio, 0.2);
-  EXPECT_GT(on.cache_exact_hit_ratio, 0.0);
-  EXPECT_EQ(off.cache_hit_ratio, 0.0);
+  EXPECT_GT(on.cache.hit_ratio(), 0.2);
+  EXPECT_GT(on.cache.exact_hit_ratio(), 0.0);
+  EXPECT_EQ(off.cache.hit_ratio(), 0.0);
 
   // Equal capacity, identical arrivals: reuse buys latency and SLO.
   EXPECT_EQ(on.submitted, off.submitted);
@@ -1176,8 +1176,8 @@ TEST(CacheServing, DesAndThreadedBackendsAgreeWithCacheOn) {
   EXPECT_LT(fid_rel_diff, 0.05);
   EXPECT_LT(std::fabs(des.violation_ratio - threaded.violation_ratio),
             0.05);
-  EXPECT_GT(threaded.cache_hit_ratio, 0.2);
-  EXPECT_LT(std::fabs(des.cache_hit_ratio - threaded.cache_hit_ratio),
+  EXPECT_GT(threaded.cache.hit_ratio(), 0.2);
+  EXPECT_LT(std::fabs(des.cache.hit_ratio() - threaded.cache.hit_ratio()),
             0.05);
 }
 

@@ -38,8 +38,9 @@ const core::CascadeEnvironment& shared_env() {
 TEST(ClusterEquivalence, OneShardLoopbackMatchesBareEngineExactly) {
   // The whole cluster layer — frontend admission, wire encode/decode,
   // shard node dispatch, cluster controller, plan split — must be
-  // decision-invisible at N=1 over synchronous loopback: every metric
-  // reproduces the bare-engine run *exactly*, not approximately.
+  // decision-invisible at N=1 over synchronous loopback: the report,
+  // control history included, reproduces the bare-engine run *exactly*,
+  // not approximately.
   const auto tr = trace::RateTrace::azure_like(2.0, 8.0, 80.0, 7);
 
   core::RunConfig rc;
@@ -58,14 +59,8 @@ TEST(ClusterEquivalence, OneShardLoopbackMatchesBareEngineExactly) {
   cc.gather_delay_seconds = 0.0;
   const auto cluster = run_cluster_des(shared_env(), alloc, tr, cc);
 
-  EXPECT_EQ(cluster.overall_fid, bare.overall_fid);
-  EXPECT_EQ(cluster.violation_ratio, bare.violation_ratio);
-  EXPECT_EQ(cluster.mean_latency, bare.mean_latency);
-  EXPECT_EQ(cluster.submitted, bare.submitted);
-  EXPECT_EQ(cluster.completed, bare.completed);
-  EXPECT_EQ(cluster.dropped, bare.dropped);
-  ASSERT_EQ(cluster.shards.size(), 1u);
-  EXPECT_EQ(cluster.shards[0].reconfigurations, bare.reconfigurations);
+  EXPECT_EQ(cluster, bare);
+  EXPECT_EQ(cluster.reconfigurations, bare.reconfigurations);
 }
 
 TEST(ClusterEquivalence, DesRunsAreDeterministic) {
@@ -78,16 +73,7 @@ TEST(ClusterEquivalence, DesRunsAreDeterministic) {
   const auto a = run_cluster_des(shared_env(), alloc, tr, cc);
   const auto b = run_cluster_des(shared_env(), alloc, tr, cc);
 
-  EXPECT_EQ(a.overall_fid, b.overall_fid);
-  EXPECT_EQ(a.violation_ratio, b.violation_ratio);
-  EXPECT_EQ(a.mean_latency, b.mean_latency);
-  EXPECT_EQ(a.submitted, b.submitted);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.cluster_reconfigurations, b.cluster_reconfigurations);
-  ASSERT_EQ(a.shards.size(), b.shards.size());
-  for (std::size_t s = 0; s < a.shards.size(); ++s)
-    EXPECT_EQ(a.shards[s].submitted, b.shards[s].submitted);
+  EXPECT_EQ(a, b);
 }
 
 // ---- §4.3 extended: sharded DES vs sharded testbed -------------------------------
@@ -331,66 +317,42 @@ TEST(Wire, QueryAndTerminalFramesPreserveSloClass) {
   }
 }
 
-TEST(Wire, LegacySingleClassFramesDecodeAsStandard) {
-  // Pre-class peers emit 98-byte query/submit and 111-byte query/terminal
-  // payloads — today's layout minus the class byte. Surgically removing
-  // that byte reproduces them exactly; both must still decode, mapping
-  // every query to the paper's single tenant class (kStandard). Start
-  // from a kInteractive query so a decoder that *ignored* the truncation
-  // (or found the byte elsewhere) would be caught.
+TEST(Wire, FramesWithoutClassFieldsAreRejected) {
+  // The class byte of the query record and the class-demand block of
+  // shard/stats are required: a frame without them (the pre-class layout)
+  // is malformed and must fail to decode rather than guess a class.
   const net::QueryMsg m = classed_query_msg(engine::QueryClass::kInteractive);
   net::Frame qf = net::encode(m);
   ASSERT_EQ(qf.payload.size(), 99u);  // 4 shard + 95 query record
   qf.payload.pop_back();              // class byte is the record's tail
   net::QueryMsg qout;
-  ASSERT_TRUE(net::decode(qf, &qout));
-  EXPECT_EQ(qout.query.query_class, engine::QueryClass::kStandard);
-  EXPECT_EQ(qout.query.seq, m.query.seq);
-  EXPECT_EQ(qout.query.deadline, m.query.deadline);
+  EXPECT_FALSE(net::decode(qf, &qout));
 
   net::TerminalMsg t;
   t.shard = 2;
   t.query = m.query;
   t.time = 4.0;
   t.served_tier = 1;
-  t.dropped = false;
   net::Frame tf = net::encode(t);
   ASSERT_EQ(tf.payload.size(), 112u);  // 4 + 95 + 8 time + 4 tier + 1 flag
-  // The class byte rides inside the embedded query record, not at the
-  // payload tail: offset 4 (shard) + 94 (legacy record).
+  // The class byte rides inside the embedded query record, at offset
+  // 4 (shard) + 94.
   tf.payload.erase(tf.payload.begin() + 98);
   net::TerminalMsg tout;
-  ASSERT_TRUE(net::decode(tf, &tout));
-  EXPECT_EQ(tout.query.query_class, engine::QueryClass::kStandard);
-  EXPECT_EQ(tout.query.seq, t.query.seq);
-  EXPECT_EQ(tout.time, t.time);
-  EXPECT_EQ(tout.served_tier, t.served_tier);
-  EXPECT_FALSE(tout.dropped);
-}
+  EXPECT_FALSE(net::decode(tf, &tout));
 
-TEST(Wire, LegacyShardStatsFramesDecodeWithoutClassDemand) {
-  net::ShardStatsMsg m;
-  m.shard = 2;
-  m.token = 5;
-  m.time = 45.0;
-  m.demand_rate = 7.25;
-  m.submitted = 321;
-  m.stages = {{3.0, 4.5, 4}};
-  m.class_demand = {1.5, 2.5, 0.25};
-  net::ShardStatsMsg out;
-  ASSERT_TRUE(net::decode(net::encode(m), &out));
-  ASSERT_EQ(out.class_demand.size(), 3u);
-  EXPECT_EQ(out.class_demand[1], 2.5);
-
-  // A pre-class stats frame simply ends after the stage vector; the
-  // trailing per-class demand block is optional on decode.
-  net::Frame f = net::encode(m);
-  f.payload.resize(f.payload.size() - (4 + 3 * 8));
-  net::ShardStatsMsg legacy;
-  ASSERT_TRUE(net::decode(f, &legacy));
-  EXPECT_TRUE(legacy.class_demand.empty());
-  EXPECT_EQ(legacy.demand_rate, m.demand_rate);
-  ASSERT_EQ(legacy.stages.size(), 1u);
+  net::ShardStatsMsg stats;
+  stats.shard = 2;
+  stats.demand_rate = 7.25;
+  stats.stages = {{3.0, 4.5, 4}};
+  stats.class_demand = {1.5, 2.5, 0.25};
+  net::ShardStatsMsg sout;
+  ASSERT_TRUE(net::decode(net::encode(stats), &sout));
+  EXPECT_EQ(sout.class_demand, stats.class_demand);
+  // Drop the whole trailing block: count + three rates.
+  net::Frame sf = net::encode(stats);
+  sf.payload.resize(sf.payload.size() - (4 + 3 * 8));
+  EXPECT_FALSE(net::decode(sf, &sout));
 }
 
 TEST(SplitPlan, SingleShardIsTheIdentity) {

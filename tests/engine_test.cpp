@@ -61,9 +61,8 @@ TEST(EngineParity, DesAndThreadedBackendsAgree) {
 TEST(EngineEquivalence, ChainRegistrationMatchesPairRegistration) {
   // The N-stage generalization must make N=2 a pure special case: the same
   // two-model cascade registered through the explicit chain form
-  // (cascade1-chain) reproduces the pair-registered cascade1 metrics
-  // *exactly* — FID, SLO violations, reconfiguration count, and every
-  // terminal count — on a fixed trace.
+  // (cascade1-chain) reproduces the pair-registered cascade1 report
+  // *exactly* on a fixed trace.
   core::EnvironmentConfig chain_cfg;
   chain_cfg.cascade = models::catalog::kCascade1Chain;
   chain_cfg.workload_queries = 800;
@@ -81,21 +80,13 @@ TEST(EngineEquivalence, ChainRegistrationMatchesPairRegistration) {
   const auto pair_run = core::run_experiment(shared_env(), rc);
   const auto chain_run = core::run_experiment(chain_env, rc);
 
-  EXPECT_EQ(pair_run.overall_fid, chain_run.overall_fid);
-  EXPECT_EQ(pair_run.violation_ratio, chain_run.violation_ratio);
-  EXPECT_EQ(pair_run.mean_latency, chain_run.mean_latency);
-  EXPECT_EQ(pair_run.light_served_fraction, chain_run.light_served_fraction);
-  EXPECT_EQ(pair_run.submitted, chain_run.submitted);
-  EXPECT_EQ(pair_run.completed, chain_run.completed);
-  EXPECT_EQ(pair_run.dropped, chain_run.dropped);
-  EXPECT_EQ(pair_run.reconfigurations, chain_run.reconfigurations);
+  EXPECT_EQ(pair_run, chain_run);
 }
 
 TEST(EngineEquivalence, DisabledCacheIsByteIdentical) {
   // The reuse cache must be a pure switch: with cache.enabled == false,
   // every other cache/prompt-mix knob in the config is dead state and the
-  // run reproduces the default configuration *exactly* — FID, SLO
-  // violations, latency, and every terminal count.
+  // run reproduces the default configuration's report *exactly*.
   const auto tr = trace::RateTrace::azure_like(2.0, 8.0, 80.0, 7);
   core::RunConfig rc;
   rc.approach = core::Approach::kDiffServeExhaustive;
@@ -115,15 +106,8 @@ TEST(EngineEquivalence, DisabledCacheIsByteIdentical) {
   off.system.cache.index_kind = cache::IndexKind::kLsh;
   const auto gated = core::run_experiment(shared_env(), off);
 
-  EXPECT_EQ(plain.overall_fid, gated.overall_fid);
-  EXPECT_EQ(plain.violation_ratio, gated.violation_ratio);
-  EXPECT_EQ(plain.mean_latency, gated.mean_latency);
-  EXPECT_EQ(plain.light_served_fraction, gated.light_served_fraction);
-  EXPECT_EQ(plain.submitted, gated.submitted);
-  EXPECT_EQ(plain.completed, gated.completed);
-  EXPECT_EQ(plain.dropped, gated.dropped);
-  EXPECT_EQ(plain.reconfigurations, gated.reconfigurations);
-  EXPECT_EQ(gated.cache_hit_ratio, 0.0);
+  EXPECT_EQ(plain, gated);
+  EXPECT_EQ(gated.cache.lookups, 0u);
 }
 
 TEST(EngineEquivalence, DisabledSloClassesIsByteIdentical) {
@@ -149,17 +133,10 @@ TEST(EngineEquivalence, DisabledSloClassesIsByteIdentical) {
   off.system.prompt_mix.batch_share = 0.4;
   const auto gated = core::run_experiment(shared_env(), off);
 
-  EXPECT_EQ(plain.overall_fid, gated.overall_fid);
-  EXPECT_EQ(plain.violation_ratio, gated.violation_ratio);
-  EXPECT_EQ(plain.mean_latency, gated.mean_latency);
-  EXPECT_EQ(plain.light_served_fraction, gated.light_served_fraction);
-  EXPECT_EQ(plain.submitted, gated.submitted);
-  EXPECT_EQ(plain.completed, gated.completed);
-  EXPECT_EQ(plain.dropped, gated.dropped);
-  EXPECT_EQ(plain.reconfigurations, gated.reconfigurations);
+  EXPECT_EQ(plain, gated);
   // With classes off every terminal lands in the kStandard row.
-  EXPECT_EQ(gated.class_completed[1], gated.completed);
-  EXPECT_EQ(gated.class_completed[0] + gated.class_completed[2], 0u);
+  EXPECT_EQ(gated.classes[1].completed, gated.completed);
+  EXPECT_EQ(gated.classes[0].completed + gated.classes[2].completed, 0u);
 }
 
 TEST(EngineParity, ThreeClassMixDesAndThreadedAgree) {
@@ -201,15 +178,15 @@ TEST(EngineParity, ThreeClassMixDesAndThreadedAgree) {
     // Identical class streams on both backends (same sampler seed), so
     // the per-class populations match exactly and the per-class SLO
     // outcomes differ only by wall-clock scheduling jitter.
-    EXPECT_EQ(des.class_completed[c] + des.class_dropped[c],
-              threaded.class_completed[c] + threaded.class_dropped[c]);
-    EXPECT_LT(std::fabs(des.class_violation_ratio[c] -
-                        threaded.class_violation_ratio[c]),
+    EXPECT_EQ(des.classes[c].completed + des.classes[c].dropped,
+              threaded.classes[c].completed + threaded.classes[c].dropped);
+    EXPECT_LT(std::fabs(des.classes[c].violation_ratio -
+                        threaded.classes[c].violation_ratio),
               0.05);
   }
   // The mix actually produced all three classes.
   for (std::size_t c = 0; c < kQueryClassCount; ++c)
-    EXPECT_GT(des.class_completed[c] + des.class_dropped[c], 0u);
+    EXPECT_GT(des.classes[c].completed + des.classes[c].dropped, 0u);
 }
 
 TEST(EngineReconfig, DesEvictionReroutesAndCountsOncePerPlan) {

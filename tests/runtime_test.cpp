@@ -43,6 +43,42 @@ TEST(ThreadedRuntime, CompletesShortTrace) {
   EXPECT_GT(r.overall_fid, 0.0);
 }
 
+TEST(FastMode, RunnersReportWithoutPerQueryRecords) {
+  // With record_terminal_events off the sink keeps no per-query records.
+  // Both runners must still return a report: FID -1 and no timeline (the
+  // two folds over those records), every other figure as recorded.
+  const auto tr = trace::RateTrace::azure_like(2.0, 8.0, 45.0, 5);
+
+  core::RunConfig rc;
+  rc.approach = core::Approach::kDiffServeExhaustive;
+  rc.total_workers = 6;
+  rc.trace = tr;
+  const auto recorded = core::run_experiment(shared_env(), rc);
+  rc.system.record_terminal_events = false;
+  const auto fast = core::run_experiment(shared_env(), rc);
+  ASSERT_GT(recorded.overall_fid, 0.0);
+  ASSERT_FALSE(recorded.timeline.empty());
+  EXPECT_EQ(fast.overall_fid, -1.0);
+  EXPECT_TRUE(fast.timeline.empty());
+  auto expected = recorded;
+  expected.overall_fid = -1.0;
+  expected.timeline.clear();
+  EXPECT_EQ(fast, expected);
+
+  control::ExhaustiveAllocator alloc;
+  RuntimeConfig cfg;
+  cfg.total_workers = 6;
+  cfg.time_scale = 60.0;
+  cfg.record_terminal_events = false;
+  const auto threaded = run_threaded(shared_env(), alloc, tr, cfg);
+  EXPECT_EQ(threaded.overall_fid, -1.0);
+  EXPECT_TRUE(threaded.timeline.empty());
+  // Same arrival stream as the recording run; wall-clock jitter may leave
+  // a few queries in flight at shutdown (see CompletesShortTrace).
+  EXPECT_EQ(threaded.submitted, recorded.submitted);
+  EXPECT_GE(threaded.completed + threaded.dropped + 5, threaded.submitted);
+}
+
 TEST(ThreadedRuntime, ServesBothStages) {
   const auto tr = trace::RateTrace::constant(4.0, 40.0);
   control::ExhaustiveAllocator alloc;
