@@ -174,7 +174,10 @@ inline void add_timeline_rows(util::CsvWriter& csv, core::Approach approach,
   for (const auto& pt : r.timeline) {
     double threshold = 0.0;
     for (const auto& h : r.control_history)
-      if (h.time <= pt.time) threshold = h.decision.threshold();
+      if (h.time <= pt.time)
+        threshold = h.decision.thresholds.empty()
+                        ? 1.0
+                        : h.decision.thresholds.front();
     csv.add_row(std::vector<std::string>{
         core::to_string(approach), util::CsvWriter::format(pt.time),
         util::CsvWriter::format(tr.qps_at(pt.time)),

@@ -18,10 +18,11 @@ double fid_with_reuse(const core::CascadeEnvironment& env,
                       double inheritance) {
   const auto& w = env.workload();
   util::Rng rng(1234);
+  const int heavy_tier = env.stage_tier(env.stage_count() - 1);
   linalg::GaussianAccumulator acc(w.config().feature_dim);
   for (quality::QueryId q = 0; q < w.size(); ++q) {
-    const auto heavy = w.generated_feature(q, env.heavy_tier());
-    const auto light = w.generated_feature(q, env.light_tier());
+    const auto heavy = w.generated_feature(q, heavy_tier);
+    const auto light = w.generated_feature(q, env.stage_tier(0));
     const auto real = w.real_feature(q);
     // Warm-starting from the light latent perturbs the heavy trajectory by
     // a fraction of the light run's deviation — in a direction that depends
@@ -43,7 +44,8 @@ void study(const char* label, const std::string& cascade,
   ec.cascade = cascade;
   ec.workload_queries = 3000;
   core::CascadeEnvironment env(ec);
-  const double baseline = env.scorer().fid_single_tier(env.heavy_tier());
+  const double baseline =
+      env.scorer().fid_single_tier(env.stage_tier(env.stage_count() - 1));
   const double reused = fid_with_reuse(env, inheritance);
   std::printf("%-28s fresh-start FID %-8.2f reuse FID %-8.2f (%+.2f)\n",
               label, baseline, reused, reused - baseline);

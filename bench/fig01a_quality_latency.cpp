@@ -25,7 +25,7 @@ void run_pair(const char* label, const std::string& cascade,
 
   // Independent model variant points (the orange scatter).
   const auto singles = core::single_model_points(
-      env, {env.cascade().light_model, env.cascade().heavy_model});
+      env, {env.cascade().chain.front(), env.cascade().chain.back()});
   std::printf("%-14s %-10s %-10s %-8s\n", "series", "latency_s", "FID",
               "deferral");
   for (const auto& s : singles)

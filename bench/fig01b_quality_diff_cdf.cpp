@@ -21,18 +21,18 @@ void run_pair(const char* label, const std::string& cascade,
   const auto& w = env.workload();
 
   std::vector<double> pick_diff, conf_diff;
+  const int light = env.stage_tier(0);
+  const int heavy = env.stage_tier(env.stage_count() - 1);
   std::size_t easy = 0;
   for (quality::QueryId q = 0; q < w.size(); ++q) {
     // Negative = light better (paper's x-axis convention is
     // heavy-minus-light for PickScore; we report light-minus-heavy and
     // count the "light at least as good" mass explicitly).
-    pick_diff.push_back(w.pickscore(q, env.heavy_tier()) -
-                        w.pickscore(q, env.light_tier()));
+    pick_diff.push_back(w.pickscore(q, heavy) - w.pickscore(q, light));
     conf_diff.push_back(
-        env.disc().confidence(w.generated_feature(q, env.heavy_tier())) -
-        env.disc().confidence(w.generated_feature(q, env.light_tier())));
-    if (w.true_error(q, env.light_tier()) <= w.true_error(q, env.heavy_tier()))
-      ++easy;
+        env.disc(0).confidence(w.generated_feature(q, heavy)) -
+        env.disc(0).confidence(w.generated_feature(q, light)));
+    if (w.true_error(q, light) <= w.true_error(q, heavy)) ++easy;
   }
   std::sort(pick_diff.begin(), pick_diff.end());
   std::sort(conf_diff.begin(), conf_diff.end());

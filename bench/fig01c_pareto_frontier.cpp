@@ -18,9 +18,9 @@ int main() {
   core::CascadeEnvironment env(ec);
   const auto& repo = env.repository();
   const auto& cascade = env.cascade();
-  const auto& light = repo.model(cascade.light_model).latency;
-  const auto& heavy = repo.model(cascade.heavy_model).latency;
-  const auto& disc = repo.model(cascade.discriminator).latency;
+  const auto& light = repo.model(cascade.chain.front()).latency;
+  const auto& heavy = repo.model(cascade.chain.back()).latency;
+  const auto& disc = repo.model(cascade.boundary_discriminator(0)).latency;
   constexpr int kWorkers = 10;
 
   // FID depends only on the threshold (which queries are deferred);

@@ -21,10 +21,9 @@
 //   3a — recall vs distance decile. A sparse cache (typical
 //        nearest-neighbour beyond the hit radius) probed at planted
 //        distances spanning (0, far_distance] in ten deciles, adaptive
-//        multi-probe vs the legacy fixed ±1 probing, recall measured
-//        against the exact scan. The smoke run asserts the far decile
-//        keeps >= 0.9 of the near decile's recall under adaptive probing
-//        (the fixed row documents the decay being fixed).
+//        multi-probe recall measured against the exact scan. The smoke
+//        run asserts the far decile keeps >= 0.9 of the near decile's
+//        recall.
 //   3b — insert-path throughput on a *full* cache, lazy-heap eviction vs
 //        the O(N) reference scan at 10^4–10^6 entries (10^5 under
 //        --smoke, with a >= 5x speedup floor), plus a victim-parity
@@ -194,14 +193,13 @@ int main(int argc, char** argv) {
   table.metric("index.mean_probed_cells",
                lsh_cache.stats().mean_probed_cells());
 
-  // --- Part 3a: recall vs distance decile, adaptive vs fixed probing ------
+  // --- Part 3a: recall vs distance decile under adaptive probing ---------
   // A *sparse* key population (spread wide enough that the typical
   // nearest neighbour sits beyond far_distance): each planted probe's
   // donor is usually the only in-radius entry, so per-decile recall
-  // isolates how hit quality holds up across the radius — the regime
-  // where the near-tuned fixed probing decayed toward zero.
+  // isolates how hit quality holds up across the radius.
   bench::banner("Figure 11c",
-                "far-edge recall: adaptive multi-probe vs fixed, by decile");
+                "far-edge recall: adaptive multi-probe, by decile");
   // Population size matches the full run even under --smoke: the gate
   // compares two recall ratios near a 0.9 floor, and a thinner cache
   // shaves the far-decile margin the CI gate lives on (the probe count
@@ -215,15 +213,8 @@ int main(int argc, char** argv) {
   rscan_cfg.capacity = recall_entries;
   rscan_cfg.index_kind = cache::IndexKind::kScan;
   cache::CacheConfig adaptive_cfg = rscan_cfg;
-  adaptive_cfg.index_kind = cache::IndexKind::kLsh;  // adaptive default
-  cache::CacheConfig fixed_cfg = adaptive_cfg;
-  // Probing-mode ablation at current defaults: near-tuned cells with
-  // fixed ±1-cell probing (PR-4's scheme; its defaults were 10
-  // projections x 8 tables where today's are 12 x 10 — the decay shape
-  // is the scheme's, not the counts').
-  fixed_cfg.lsh_adaptive_probe = false;
-  cache::ApproxCache rscan(rscan_cfg), adaptive(adaptive_cfg),
-      fixed(fixed_cfg);
+  adaptive_cfg.index_kind = cache::IndexKind::kLsh;
+  cache::ApproxCache rscan(rscan_cfg), adaptive(adaptive_cfg);
 
   util::Rng rrng(11);
   std::vector<std::vector<double>> rkeys(recall_entries,
@@ -233,12 +224,11 @@ int main(int argc, char** argv) {
     for (auto& v : rkeys[i]) v = rrng.normal(0.0, spread);
     rscan.insert(static_cast<quality::QueryId>(i), 1, 0, rkeys[i], rt += 1.0);
     adaptive.insert(static_cast<quality::QueryId>(i), 1, 0, rkeys[i], rt);
-    fixed.insert(static_cast<quality::QueryId>(i), 1, 0, rkeys[i], rt);
   }
   bench::ReportTable recall_table(
       "fig11_recall_deciles",
-      {"decile", "distance", "scan_hit", "adaptive_recall", "fixed_recall"},
-      {8, 10, 10, 17, 14});
+      {"decile", "distance", "scan_hit", "adaptive_recall"},
+      {8, 10, 10, 17});
   double near_recall = 1.0, far_recall = 1.0;
   for (int dec = 0; dec < 10; ++dec) {
     // Probes planted at the decile's midpoint distance from a random
@@ -264,11 +254,8 @@ int main(int argc, char** argv) {
     }
     const double scan_frac = hit_fraction(rscan, dprobes, rt);
     const double adaptive_frac = hit_fraction(adaptive, dprobes, rt);
-    const double fixed_frac = hit_fraction(fixed, dprobes, rt);
     const double adaptive_recall =
         scan_frac > 0.0 ? adaptive_frac / scan_frac : 1.0;
-    const double fixed_recall =
-        scan_frac > 0.0 ? fixed_frac / scan_frac : 1.0;
     if (dec == 0) near_recall = adaptive_recall;
     if (dec == 9) far_recall = adaptive_recall;
     char label[16];
@@ -276,8 +263,7 @@ int main(int argc, char** argv) {
     recall_table.row(std::vector<std::string>{
         label, bench::ReportTable::fmt(d),
         bench::ReportTable::fmt(scan_frac),
-        bench::ReportTable::fmt(adaptive_recall),
-        bench::ReportTable::fmt(fixed_recall)});
+        bench::ReportTable::fmt(adaptive_recall)});
   }
   const double far_over_near =
       near_recall > 0.0 ? far_recall / near_recall : 0.0;

@@ -36,7 +36,7 @@ const core::CascadeEnvironment& bench_env() {
 
 void BM_DiscriminatorInference(benchmark::State& state) {
   const auto& env = bench_env();
-  const auto feature = env.workload().generated_feature(0, env.light_tier());
+  const auto feature = env.workload().generated_feature(0, env.stage_tier(0));
   for (auto _ : state)
     benchmark::DoNotOptimize(env.disc().confidence(feature));
 }
@@ -47,7 +47,7 @@ void BM_FeatureGeneration(benchmark::State& state) {
   quality::QueryId q = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        env.workload().generated_feature(q, env.light_tier()));
+        env.workload().generated_feature(q, env.stage_tier(0)));
     q = (q + 1) % static_cast<quality::QueryId>(env.workload().size());
   }
 }
@@ -56,8 +56,9 @@ BENCHMARK(BM_FeatureGeneration);
 void BM_FidEvaluation(benchmark::State& state) {
   const auto& env = bench_env();
   linalg::GaussianAccumulator acc(env.workload().config().feature_dim);
+  const int heavy = env.stage_tier(env.stage_count() - 1);
   for (quality::QueryId q = 0; q < 500; ++q)
-    acc.add(env.workload().generated_feature(q, env.heavy_tier()));
+    acc.add(env.workload().generated_feature(q, heavy));
   const auto stats = acc.stats();
   for (auto _ : state)
     benchmark::DoNotOptimize(env.scorer().fid(stats));

@@ -22,13 +22,13 @@ control::AllocationInput cascade1_input(double demand) {
   in.slo_seconds = 5.0;
   const auto repo = models::ModelRepository::with_paper_catalog();
   const auto disc = repo.model(models::catalog::kEfficientNet).latency;
-  in.light() = control::StagePerfModel(
+  in.stages.front().perf = control::StagePerfModel(
       repo.model(models::catalog::kSdTurbo).latency, &disc);
-  in.heavy() = control::StagePerfModel(
+  in.stages.back().perf = control::StagePerfModel(
       repo.model(models::catalog::kSdV15).latency, nullptr);
   for (int k = 0; k <= 50; ++k) {
     const double f = 0.65 * k / 50.0;
-    in.threshold_grid().push_back({std::pow(f, 2.0 / 3.0), f});
+    in.boundary_grids[0].push_back({std::pow(f, 2.0 / 3.0), f});
   }
   return in;
 }

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
 
   const auto thr = run_threaded_flood(env, queries, 10'000.0, record);
   table.row(std::vector<std::string>{
-      "threaded", bench::ReportTable::fmt(thr.qps), "0",
+      "threaded", bench::ReportTable::fmt(thr.qps), "-",
       std::to_string(thr.completed), std::to_string(thr.dropped)});
 
   table.metric("des.queries", static_cast<double>(queries));

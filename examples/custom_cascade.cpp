@@ -29,7 +29,7 @@ int main() {
   repo.register_model({"router-net", models::ModelKind::kDiscriminator,
                        models::LatencyProfile::affine(0.008, 0.1), 0, 512});
   repo.register_cascade(
-      {"flash-studio", "flash-v1", "studio-v2", "router-net", 6.0});
+      {"flash-studio", {"flash-v1", "studio-v2"}, {"router-net"}, 6.0});
 
   // 2. Build the workload and train the discriminator on real-vs-generated
   //    features for this pair.

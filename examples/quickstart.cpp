@@ -26,16 +26,12 @@ int main() {
   core::CascadeEnvironment env(env_cfg);
 
   std::printf("cascade:        %s\n", env.cascade().name.c_str());
-  std::printf("light model:    %s (%.2f s/image)\n",
-              env.cascade().light_model.c_str(),
-              env.repository()
-                  .model(env.cascade().light_model)
-                  .latency.execution_latency(1));
-  std::printf("heavy model:    %s (%.2f s/image)\n",
-              env.cascade().heavy_model.c_str(),
-              env.repository()
-                  .model(env.cascade().heavy_model)
-                  .latency.execution_latency(1));
+  const auto& light = env.cascade().chain.front();
+  const auto& heavy = env.cascade().chain.back();
+  std::printf("light model:    %s (%.2f s/image)\n", light.c_str(),
+              env.repository().model(light).latency.execution_latency(1));
+  std::printf("heavy model:    %s (%.2f s/image)\n", heavy.c_str(),
+              env.repository().model(heavy).latency.execution_latency(1));
   std::printf("discriminator:  %s (%zu parameters, %.0f ms/image)\n",
               env.disc().name().c_str(), env.disc().parameter_count(),
               1000.0 * env.disc().inference_latency());
@@ -67,10 +63,10 @@ int main() {
               "x1", "x2", "b1", "b2", "threshold");
   for (std::size_t i = 0; i < result.control_history.size(); i += 5) {
     const auto& h = result.control_history[i];
+    const auto& d = h.decision;
     std::printf("%-8.0f %-10.1f %-6d %-6d %-6d %-6d %-10.3f\n", h.time,
-                h.demand_estimate, h.decision.light_workers(),
-                h.decision.heavy_workers(), h.decision.light_batch(),
-                h.decision.heavy_batch(), h.decision.threshold());
+                h.demand_estimate, d.workers[0], d.workers[1], d.batches[0],
+                d.batches[1], d.thresholds[0]);
   }
 
   // 3. Same trace with the approximate prompt-reuse cache in front of the

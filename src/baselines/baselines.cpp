@@ -19,7 +19,7 @@ std::string ClipperAllocator::name() const {
 
 AllocationDecision ClipperAllocator::allocate(const AllocationInput& in) {
   const bool heavy = variant_ == Variant::kHeavy;
-  const auto& stage = heavy ? in.heavy() : in.light();
+  const auto& stage = (heavy ? in.stages.back() : in.stages.front()).perf;
   const auto& sizes = stage.batch_sizes();
 
   // Clipper's AIMD batching: halve on SLO pressure, step up otherwise,
@@ -67,24 +67,26 @@ AllocationDecision ProteusAllocator::allocate(const AllocationInput& in) {
   best.resize_stages(in.stage_count());
   double best_heavy_fraction = -1.0;
   int best_b1 = 0, best_b2 = 0;
+  const auto& first = in.stages.front();
+  const auto& last = in.stages.back();
   for (int x2 = 0; x2 <= in.total_workers; ++x2) {
     const int x1 = in.total_workers - x2;
-    for (const int b1 : in.light().batch_sizes()) {
+    for (const int b1 : first.perf.batch_sizes()) {
       if (x1 > 0 &&
-          in.light().stage_latency(b1) +
-                  control::littles_law_delay(in.light_queue_length(),
-                                             in.light_arrival_rate()) >
+          first.perf.stage_latency(b1) +
+                  control::littles_law_delay(first.queue_length,
+                                             first.arrival_rate) >
               in.slo_seconds)
         continue;
-      for (const int b2 : in.heavy().batch_sizes()) {
+      for (const int b2 : last.perf.batch_sizes()) {
         if (x2 > 0 &&
-            in.heavy().stage_latency(b2) +
-                    control::littles_law_delay(in.heavy_queue_length(),
-                                               in.heavy_arrival_rate()) >
+            last.perf.stage_latency(b2) +
+                    control::littles_law_delay(last.queue_length,
+                                               last.arrival_rate) >
                 in.slo_seconds)
           continue;
-        const double cap1 = x1 * in.light().throughput(b1);
-        const double cap2 = x2 * in.heavy().throughput(b2);
+        const double cap1 = x1 * first.perf.throughput(b1);
+        const double cap2 = x2 * last.perf.throughput(b2);
         if (cap1 + cap2 < d - 1e-9) continue;
         const double heavy_fraction =
             d <= 1e-12 ? (x2 > 0 ? 1.0 : 0.0) : std::min(1.0, cap2 / d);
@@ -117,10 +119,10 @@ AllocationDecision ProteusAllocator::allocate(const AllocationInput& in) {
     best.p_heavy = 0.0;
     best.workers.front() = in.total_workers;
     double best_t = 0.0;
-    best.batches.front() = in.light().batch_sizes().front();
-    for (const int b : in.light().batch_sizes())
-      if (in.light().throughput(b) > best_t) {
-        best_t = in.light().throughput(b);
+    best.batches.front() = first.perf.batch_sizes().front();
+    for (const int b : first.perf.batch_sizes())
+      if (first.perf.throughput(b) > best_t) {
+        best_t = first.perf.throughput(b);
         best.batches.front() = b;
       }
   }

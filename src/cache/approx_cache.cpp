@@ -98,19 +98,14 @@ ApproxCache::ApproxCache(CacheConfig cfg) : cfg_(cfg) {
     // keys corresponds to a chord of sqrt(2d), so the cell width must be
     // in chord units or near neighbours land several cells away. A
     // degenerate radius still quantizes (exact duplicates always share
-    // every cell). Adaptive probing tunes the width to the *far* radius —
-    // a far-edge neighbour then crosses at most a couple of boundaries
-    // and the directed probe set can recover it, where near-sized cells
-    // scatter it across combinatorially many buckets no budget reaches;
-    // fixed probing keeps the legacy near-sized cells.
-    const auto span = [&](double d) {
-      return cfg_.metric == SimilarityMetric::kCosine ? std::sqrt(2.0 * d)
-                                                      : d;
-    };
-    far_span_ = span(cfg_.far_distance);
-    const double tuned =
-        cfg_.lsh_adaptive_probe ? far_span_ : span(cfg_.near_distance);
-    lsh_cell_width_ = std::max(cfg_.lsh_width_scale * tuned, 1e-9);
+    // every cell). The width is tuned to the *far* radius — a far-edge
+    // neighbour then crosses at most a couple of boundaries and the
+    // directed probe set can recover it, where near-sized cells scatter it
+    // across combinatorially many buckets no budget reaches.
+    far_span_ = cfg_.metric == SimilarityMetric::kCosine
+                    ? std::sqrt(2.0 * cfg_.far_distance)
+                    : cfg_.far_distance;
+    lsh_cell_width_ = std::max(cfg_.lsh_width_scale * far_span_, 1e-9);
     // The per-table bound that compounds to the configured overall one:
     // 1 - (1 - r_table)^tables >= lsh_target_recall.
     table_recall_target_ =
@@ -261,27 +256,7 @@ std::size_t ApproxCache::nearest_lsh(const std::vector<double>& key,
       }
     }
   };
-  const std::size_t k = cfg_.lsh_projections;
-  std::int64_t cells[32];
-  if (!cfg_.lsh_adaptive_probe) {
-    // Legacy fixed probing: the home bucket plus (optionally) every
-    // bucket one cell away in a single projection.
-    for (std::size_t t = 0; t < cfg_.lsh_tables; ++t) {
-      cells_of(t, key, cells);
-      probe(t, hash_cells(t, cells));
-      if (cfg_.lsh_probe_neighbors) {
-        for (std::size_t j = 0; j < k; ++j) {
-          ++cells[j];
-          probe(t, hash_cells(t, cells));
-          cells[j] -= 2;
-          probe(t, hash_cells(t, cells));
-          ++cells[j];
-        }
-      }
-    }
-  } else {
-    nearest_lsh_adaptive(key, probe);
-  }
+  nearest_lsh_adaptive(key, probe);
   stats_.lsh_probed_cells += probed;
   stats_.lsh_probe_candidates += candidates;
   if (probed > 0) {

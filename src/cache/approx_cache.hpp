@@ -36,22 +36,19 @@
 // Lookup is either the exact O(N) linear scan (small caches) or a bucketed
 // ANN index — multi-table LSH over random hyperplane projections of the
 // style vector, p-stable quantized (each table buckets the key by its cell
-// in `lsh_projections` random projections). Probing is adaptive by
-// default (`lsh_adaptive_probe`): the cell width is tied to the *far*
-// radius, and each table expands a query-directed probe set (Lv et
-// al.-style — neighbour cells ranked by projection-space boundary
-// distance) until the modelled expected recall of a far_distance
-// neighbour meets `lsh_target_recall` or a per-table probe budget —
-// auto-tuned from the observed candidates-per-probe yield — runs out,
-// which keeps recall flat across the hit radius instead of decaying
-// toward its far edge. The legacy fixed ±1-cell probing (cell width tied
-// to near_distance) remains behind `lsh_adaptive_probe = false`. Either
-// way the index is approximate (a near-threshold neighbour in an
-// unprobed bucket can be missed) but fully deterministic: projections
-// derive from `lsh_seed` and the budget tuner from the operation
-// sequence alone, so two caches fed the same operation sequence agree
-// byte-for-byte, which is what keeps the DES and threaded backends in
-// lockstep.
+// in `lsh_projections` random projections). Probing is adaptive: the
+// cell width is tied to the *far* radius, and each table expands a
+// query-directed probe set (Lv et al.-style — neighbour cells ranked by
+// projection-space boundary distance) until the modelled expected recall
+// of a far_distance neighbour meets `lsh_target_recall` or a per-table
+// probe budget — auto-tuned from the observed candidates-per-probe yield
+// — runs out, which keeps recall flat across the hit radius instead of
+// decaying toward its far edge. The index is approximate (a
+// near-threshold neighbour in an unprobed bucket can be missed) but
+// fully deterministic: projections derive from `lsh_seed` and the budget
+// tuner from the operation sequence alone, so two caches fed the same
+// operation sequence agree byte-for-byte, which is what keeps the DES and
+// threaded backends in lockstep.
 //
 // Eviction is LRU blended with popularity: the victim minimizes
 // last_used + popularity_weight * log1p(hits), so a frequently reused
@@ -158,31 +155,14 @@ struct CacheConfig {
   /// about the candidate density 10 projections of near-sized cells did.
   std::size_t lsh_projections = 12;
   /// Independent LSH tables; a neighbour is found if any table buckets it
-  /// with the query (or one cell away when probing). Recall at a given
+  /// with the query in one of its probed cells. Recall at a given
   /// distance approaches 1 geometrically in the table count — the tenth
   /// table is what holds the far-edge decile clear of its CI floor.
   std::size_t lsh_tables = 10;
-  /// Quantization cell width as a multiple of the hit radius the index is
-  /// tuned for: far_distance under adaptive probing (so a far-edge
-  /// neighbour typically crosses at most a couple of cell boundaries and
-  /// the directed probe set can recover it), near_distance under the
-  /// legacy fixed probing (finer cells, recall decaying toward the far
-  /// edge).
+  /// Quantization cell width as a multiple of far_distance (so a
+  /// far-edge neighbour typically crosses at most a couple of cell
+  /// boundaries and the directed probe set can recover it).
   double lsh_width_scale = 1.0;
-  /// Also probe, per table, every bucket one quantization cell away in a
-  /// single projection (2*lsh_projections extra probes) — recovers most
-  /// near-boundary neighbours. Fixed-probing mode only (adaptive probing
-  /// supersedes it).
-  bool lsh_probe_neighbors = true;
-  /// Query-directed adaptive multi-probe (the default): rank neighbour
-  /// cells by projection-space boundary distance and expand each table's
-  /// probe set until the expected recall of a far_distance neighbour
-  /// meets lsh_target_recall or the (yield-tuned) probe budget runs out.
-  /// Off restores the legacy near-tuned cell width and fixed ±1-cell
-  /// probing — byte-for-byte the PR-4 index at equal lsh_projections and
-  /// lsh_tables (their defaults moved 10 -> 12 and 8 -> 10 alongside the
-  /// wider adaptive cells).
-  bool lsh_adaptive_probe = true;
   /// Adaptive probing stops expanding once the modelled recall of a
   /// neighbour at far_distance (across all tables) reaches this bound.
   double lsh_target_recall = 0.9;

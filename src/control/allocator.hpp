@@ -7,8 +7,7 @@
 // Implementations: the MILP allocator (the paper's approach), an
 // exhaustive oracle (used for cross-checking and as a fallback), the §4.5
 // ablation variants, and the baseline systems' allocation policies
-// (src/baselines). The `light_*`/`heavy_*` members are thin aliases onto
-// the first/last stage for two-stage call sites.
+// (src/baselines).
 #pragma once
 
 #include <string>
@@ -77,43 +76,6 @@ struct AllocationInput {
 
   /// Demand after over-provisioning.
   double provisioned_demand() const { return demand_qps * over_provision; }
-
-  // --- two-stage aliases (first/last stage) ------------------------------
-  StagePerfModel& light() { return stages.front().perf; }
-  const StagePerfModel& light() const { return stages.front().perf; }
-  StagePerfModel& heavy() { return stages.back().perf; }
-  const StagePerfModel& heavy() const { return stages.back().perf; }
-  double& light_queue_length() { return stages.front().queue_length; }
-  double light_queue_length() const { return stages.front().queue_length; }
-  double& light_arrival_rate() { return stages.front().arrival_rate; }
-  double light_arrival_rate() const { return stages.front().arrival_rate; }
-  double& heavy_queue_length() { return stages.back().queue_length; }
-  double heavy_queue_length() const { return stages.back().queue_length; }
-  double& heavy_arrival_rate() { return stages.back().arrival_rate; }
-  double heavy_arrival_rate() const { return stages.back().arrival_rate; }
-  double& light_utilization_target() {
-    return stages.front().utilization_target;
-  }
-  double light_utilization_target() const {
-    return stages.front().utilization_target;
-  }
-  double& heavy_utilization_target() {
-    return stages.back().utilization_target;
-  }
-  double heavy_utilization_target() const {
-    return stages.back().utilization_target;
-  }
-  std::vector<discriminator::DeferralProfile::GridPoint>& threshold_grid() {
-    DS_REQUIRE(!boundary_grids.empty(),
-               "depth-1 input has no threshold grid");
-    return boundary_grids.front();
-  }
-  const std::vector<discriminator::DeferralProfile::GridPoint>&
-  threshold_grid() const {
-    DS_REQUIRE(!boundary_grids.empty(),
-               "depth-1 input has no threshold grid");
-    return boundary_grids.front();
-  }
 };
 
 struct AllocationDecision {
@@ -143,31 +105,6 @@ struct AllocationDecision {
     batches.assign(n, 1);
     thresholds.assign(n - 1, 0.0);
     deferral_fractions.assign(n - 1, 0.0);
-  }
-
-  // --- two-stage aliases (first/last stage) ------------------------------
-  int& light_workers() { return workers.front(); }
-  int light_workers() const { return workers.front(); }
-  int& heavy_workers() { return workers.back(); }
-  int heavy_workers() const { return workers.back(); }
-  int& light_batch() { return batches.front(); }
-  int light_batch() const { return batches.front(); }
-  int& heavy_batch() { return batches.back(); }
-  int heavy_batch() const { return batches.back(); }
-  double& threshold() {
-    DS_REQUIRE(!thresholds.empty(), "depth-1 decision has no threshold");
-    return thresholds.front();
-  }
-  double threshold() const {
-    return thresholds.empty() ? 1.0 : thresholds.front();
-  }
-  double& deferral_fraction() {
-    DS_REQUIRE(!deferral_fractions.empty(),
-               "depth-1 decision has no deferral fraction");
-    return deferral_fractions.front();
-  }
-  double deferral_fraction() const {
-    return deferral_fractions.empty() ? 0.0 : deferral_fractions.front();
   }
 };
 
@@ -201,19 +138,9 @@ bool satisfies_constraints(const AllocationInput& in,
                            const std::vector<int>& batches,
                            const std::vector<double>& entry_fractions);
 
-/// Two-stage convenience overload: (x1, x2, b1, b2, f) as in the paper.
-inline bool satisfies_constraints(const AllocationInput& in, int x1, int x2,
-                                  int b1, int b2, double deferral_fraction) {
-  return satisfies_constraints(in, {x1, x2}, {b1, b2},
-                               {1.0, deferral_fraction});
-}
-
 /// End-to-end latency estimate: sum over stages of e_s + q_s for the
 /// latency constraint (Eq. 1).
 double estimated_latency(const AllocationInput& in,
                          const std::vector<int>& batches);
-inline double estimated_latency(const AllocationInput& in, int b1, int b2) {
-  return estimated_latency(in, std::vector<int>{b1, b2});
-}
 
 }  // namespace diffserve::control

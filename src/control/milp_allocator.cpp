@@ -65,7 +65,7 @@ milp::Problem MilpAllocator::build_problem(const AllocationInput& in,
   std::vector<int> z;
   std::vector<int> phi;
   if (formulation == Formulation::kThresholdGrid) {
-    const auto& grid = in.threshold_grid();
+    const auto& grid = in.boundary_grids[0];
     z.resize(grid.size());
     for (std::size_t k = 0; k < grid.size(); ++k)
       z[k] = p.add_variable("z_" + std::to_string(k), milp::VarType::kBinary,
@@ -124,7 +124,7 @@ milp::Problem MilpAllocator::build_problem(const AllocationInput& in,
       terms.push_back({x[s][i], in.stages[s].perf.throughput(bs[i]) *
                                     in.stages[s].utilization_target});
     if (formulation == Formulation::kThresholdGrid) {
-      const auto& grid = in.threshold_grid();
+      const auto& grid = in.boundary_grids[0];
       for (std::size_t k = 0; k < grid.size(); ++k)
         terms.push_back({z[k], -d * grid[k].fraction});
     } else {
@@ -229,7 +229,7 @@ AllocationDecision MilpAllocator::allocate(const AllocationInput& in) {
       }
     }
     if (formulation == Formulation::kThresholdGrid) {
-      const auto& grid = in.threshold_grid();
+      const auto& grid = in.boundary_grids[0];
       for (std::size_t k = 0; k < grid.size(); ++k) {
         if (v[idx++] > 0.5) {
           out.thresholds[0] = grid[k].threshold;

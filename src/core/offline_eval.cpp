@@ -28,23 +28,23 @@ namespace {
 std::vector<double> routing_scores(const CascadeEnvironment& env,
                                    RoutingSignal signal, std::size_t n) {
   const auto& w = env.workload();
+  const int light = env.stage_tier(0);
+  const int heavy = env.stage_tier(env.stage_count() - 1);
   std::vector<double> s(n);
   for (quality::QueryId q = 0; q < n; ++q) {
     switch (signal) {
       case RoutingSignal::kDiscriminator:
-        s[q] = env.disc().confidence(
-            w.generated_feature(q, env.light_tier()));
+        s[q] = env.disc(0).confidence(w.generated_feature(q, light));
         break;
       case RoutingSignal::kPickScore:
-        s[q] = w.pickscore(q, env.light_tier());
+        s[q] = w.pickscore(q, light);
         break;
       case RoutingSignal::kClipScore:
-        s[q] = w.clipscore(q, env.light_tier());
+        s[q] = w.clipscore(q, light);
         break;
       case RoutingSignal::kOracle:
         // Defer where heavy most improves on light: score = -(gap).
-        s[q] = -(w.true_error(q, env.light_tier()) -
-                 w.true_error(q, env.heavy_tier()));
+        s[q] = -(w.true_error(q, light) - w.true_error(q, heavy));
         break;
       case RoutingSignal::kRandom:
         DS_CHECK(false, "random handled separately");
@@ -56,19 +56,20 @@ std::vector<double> routing_scores(const CascadeEnvironment& env,
 double pipeline_latency(const CascadeEnvironment& env, double deferral) {
   const auto& repo = env.repository();
   const auto& c = env.cascade();
-  const double e_l = repo.model(c.light_model).latency.execution_latency(1);
+  const double e_l = repo.model(c.chain.front()).latency.execution_latency(1);
   const double e_d =
-      repo.model(c.discriminator).latency.execution_latency(1);
-  const double e_h = repo.model(c.heavy_model).latency.execution_latency(1);
+      repo.model(c.boundary_discriminator(0)).latency.execution_latency(1);
+  const double e_h = repo.model(c.chain.back()).latency.execution_latency(1);
   return e_l + e_d + deferral * e_h;
 }
 
 double served_fid(const CascadeEnvironment& env,
                   const std::vector<bool>& deferred, std::size_t n) {
+  const int light = env.stage_tier(0);
+  const int heavy = env.stage_tier(env.stage_count() - 1);
   linalg::GaussianAccumulator acc(env.workload().config().feature_dim);
   for (quality::QueryId q = 0; q < n; ++q)
-    acc.add(env.workload().generated_feature(
-        q, deferred[q] ? env.heavy_tier() : env.light_tier()));
+    acc.add(env.workload().generated_feature(q, deferred[q] ? heavy : light));
   return env.scorer().fid(acc.stats());
 }
 

@@ -24,7 +24,6 @@ CascadeEngine::CascadeEngine(
       prompt_sampler_(workload.size(), cfg.prompt_mix) {
   DS_REQUIRE(cfg_.total_workers >= 1, "need at least one worker");
   sink_.set_record_terminal_events(cfg_.record_terminal_events);
-  cascade_.normalize();
   chain_ = cascade_.chain;
   disc_models_ = cascade_.discriminators;
   DS_REQUIRE(!chain_.empty(), "cascade chain must not be empty");
@@ -56,7 +55,7 @@ CascadeEngine::CascadeEngine(ExecutionBackend& backend,
                              EngineConfig cfg)
     : CascadeEngine(backend, workload, repo, cascade,
                     std::vector<const discriminator::Discriminator*>(
-                        cascade.chain.empty() ? 1 : cascade.chain.size() - 1,
+                        cascade.chain.empty() ? 0 : cascade.boundary_count(),
                         disc),
                     scorer, cfg) {}
 

@@ -15,8 +15,7 @@
 // ExecutionBackend, so the discrete-event simulator and the threaded
 // wall-clock testbed run literally the same policy code — the property
 // behind the §4.3 simulator-vs-testbed fidelity claim. A two-stage chain
-// is exactly the paper's cascade; the `light_*`/`heavy_*` accessors alias
-// the first/last stage.
+// is exactly the paper's cascade; every stage is addressed by its index.
 //
 // Concurrency contract: every public method acquires the backend's guard;
 // `_locked` internals assume it is held. Backend callbacks (batch
@@ -123,8 +122,6 @@ class CascadeEngine {
   std::array<std::uint64_t, kQueryClassCount> class_admission_drops() const;
   /// Queue/arrival statistics of stage s's worker pool.
   PoolStats stage_stats(std::size_t s) const;
-  PoolStats light_stats() const { return stage_stats(0); }
-  PoolStats heavy_stats() const { return stage_stats(stage_count() - 1); }
   std::uint64_t submitted() const;
   /// Applied plans that changed at least one worker's hosted model.
   std::size_t reconfigurations() const;
@@ -143,18 +140,10 @@ class CascadeEngine {
   /// performance model and by both backends' batch execution). Non-final
   /// stages include their boundary discriminator pass.
   double stage_exec_latency(std::size_t s, int batch) const;
-  double light_exec_latency(int batch) const {
-    return stage_exec_latency(0, batch);
-  }
-  double heavy_exec_latency(int batch) const {
-    return stage_exec_latency(stage_count() - 1, batch);
-  }
 
   std::size_t stage_count() const { return chain_.size(); }
   std::size_t boundary_count() const { return chain_.size() - 1; }
   int stage_tier(std::size_t s) const { return stage_tiers_[s]; }
-  int light_tier() const { return stage_tiers_.front(); }
-  int heavy_tier() const { return stage_tiers_.back(); }
   const models::CascadeSpec& cascade() const { return cascade_; }
   const EngineConfig& config() const { return cfg_; }
   ExecutionBackend& backend() const { return backend_; }

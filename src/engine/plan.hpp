@@ -3,10 +3,10 @@
 //
 // AllocationPlan is what one §3.3 control decision materializes to:
 // per-stage worker and batch-size vectors plus one confidence threshold
-// per cascade boundary (the `light_*()`/`heavy_*()` accessors alias the
-// first/last stage for two-stage callers). EngineConfig is everything the
-// engine is constructed with — SLO, reserve factor, launch slack, the
-// prompt-popularity mix, and the embedded cache::CacheConfig.
+// per cascade boundary, each indexed by stage (or boundary) number.
+// EngineConfig is everything the engine is constructed with — SLO, reserve
+// factor, launch slack, the prompt-popularity mix, and the embedded
+// cache::CacheConfig.
 //
 // Determinism requirement: both are plain value types with no hidden
 // state; applying the same plan to engines holding the same state must
@@ -38,8 +38,6 @@ enum class RoutingMode { kCascade, kDirect };
 /// worker counts and batch sizes plus one confidence threshold per cascade
 /// boundary (§3.3's x_i, b_i, t_i). Default-constructed plans describe the
 /// classic two-stage cascade; `for_stages(n)` sizes a deeper chain.
-/// The `light_*`/`heavy_*` accessors are thin aliases onto the first/last
-/// stage for two-stage call sites.
 struct AllocationPlan {
   RoutingMode mode = RoutingMode::kCascade;
   /// Workers per stage, stage 0 = lightest. Size = chain length.
@@ -63,23 +61,6 @@ struct AllocationPlan {
     p.batches.assign(n, 1);
     p.thresholds.assign(n - 1, 0.5);
     return p;
-  }
-
-  // --- two-stage aliases (first/last stage) ------------------------------
-  int& light_workers() { return workers.front(); }
-  int light_workers() const { return workers.front(); }
-  int& heavy_workers() { return workers.back(); }
-  int heavy_workers() const { return workers.back(); }
-  int& light_batch() { return batches.front(); }
-  int light_batch() const { return batches.front(); }
-  int& heavy_batch() { return batches.back(); }
-  int heavy_batch() const { return batches.back(); }
-  double& threshold() {
-    DS_REQUIRE(!thresholds.empty(), "depth-1 plan has no threshold");
-    return thresholds.front();
-  }
-  double threshold() const {
-    return thresholds.empty() ? 1.0 : thresholds.front();
   }
 };
 

@@ -4,23 +4,8 @@
 
 namespace diffserve::models {
 
-void CascadeSpec::normalize() {
-  if (chain.empty()) {
-    chain = {light_model, heavy_model};
-  } else {
-    light_model = chain.front();
-    heavy_model = chain.back();
-  }
-  if (discriminators.empty() && !discriminator.empty())
-    discriminators.assign(boundary_count(), discriminator);
-  else if (discriminators.size() == 1 && boundary_count() > 1)
-    discriminators.assign(boundary_count(), discriminators.front());
-  if (!discriminators.empty()) discriminator = discriminators.front();
-}
-
 const std::string& CascadeSpec::stage_model(std::size_t s) const {
-  DS_REQUIRE(!chain.empty() && s < chain.size(),
-             "stage index outside the cascade chain");
+  DS_REQUIRE(s < chain.size(), "stage index outside the cascade chain");
   return chain[s];
 }
 
@@ -61,38 +46,25 @@ ModelRepository ModelRepository::with_paper_catalog() {
   repo.register_model({catalog::kViT, ModelKind::kDiscriminator,
                        LatencyProfile::affine(0.005, 0.1), 0, 512});
 
-  // The paper's three cascades with their SLOs (§4.1). Pair-form specs:
-  // the empty chain/discriminator vectors mean "derive from the pair
-  // fields" (normalize() expands them).
-  repo.register_cascade({catalog::kCascade1, catalog::kSdTurbo,
-                         catalog::kSdV15, catalog::kEfficientNet, 5.0, {}, {}});
-  repo.register_cascade({catalog::kCascade2, catalog::kSdxs, catalog::kSdV15,
-                         catalog::kEfficientNet, 5.0, {}, {}});
-  repo.register_cascade({catalog::kCascade3, catalog::kSdxlLightning,
-                         catalog::kSdxl, catalog::kEfficientNet, 15.0, {}, {}});
-
-  // Chain-form registrations: Cascade 1 re-registered as an explicit chain
-  // (N=2 equivalence checks), the three-stage tiny->base->large chain, and
-  // the depth-1 solo deployment.
-  CascadeSpec c1_chain;
-  c1_chain.name = catalog::kCascade1Chain;
-  c1_chain.chain = {catalog::kSdTurbo, catalog::kSdV15};
-  c1_chain.discriminators = {catalog::kEfficientNet};
-  c1_chain.slo_seconds = 5.0;
-  repo.register_cascade(std::move(c1_chain));
-
-  CascadeSpec chain3;
-  chain3.name = catalog::kChain3;
-  chain3.chain = {catalog::kSdxs, catalog::kSdTurbo, catalog::kSdV15};
-  chain3.discriminators = {catalog::kEfficientNet, catalog::kEfficientNet};
-  chain3.slo_seconds = 5.0;
-  repo.register_cascade(std::move(chain3));
-
-  CascadeSpec solo;
-  solo.name = catalog::kSoloHeavy;
-  solo.chain = {catalog::kSdV15};
-  solo.slo_seconds = 5.0;
-  repo.register_cascade(std::move(solo));
+  // The paper's three cascades with their SLOs (§4.1), the three-stage
+  // tiny->base->large chain, and the depth-1 solo deployment.
+  repo.register_cascade({catalog::kCascade1,
+                         {catalog::kSdTurbo, catalog::kSdV15},
+                         {catalog::kEfficientNet},
+                         5.0});
+  repo.register_cascade({catalog::kCascade2,
+                         {catalog::kSdxs, catalog::kSdV15},
+                         {catalog::kEfficientNet},
+                         5.0});
+  repo.register_cascade({catalog::kCascade3,
+                         {catalog::kSdxlLightning, catalog::kSdxl},
+                         {catalog::kEfficientNet},
+                         15.0});
+  repo.register_cascade({catalog::kChain3,
+                         {catalog::kSdxs, catalog::kSdTurbo, catalog::kSdV15},
+                         {catalog::kEfficientNet, catalog::kEfficientNet},
+                         5.0});
+  repo.register_cascade({catalog::kSoloHeavy, {catalog::kSdV15}, {}, 5.0});
   return repo;
 }
 
@@ -105,8 +77,10 @@ void ModelRepository::register_model(ModelVariant variant) {
 
 void ModelRepository::register_cascade(CascadeSpec cascade) {
   DS_REQUIRE(!cascade.name.empty(), "cascade needs a name");
-  cascade.normalize();
   DS_REQUIRE(!cascade.chain.empty(), "cascade needs at least one model");
+  if (cascade.discriminators.size() == 1 && cascade.boundary_count() > 1)
+    cascade.discriminators.assign(cascade.boundary_count(),
+                                  cascade.discriminators.front());
   for (const auto& m : cascade.chain) {
     DS_REQUIRE(has_model(m), "unknown cascade model: " + m);
     DS_REQUIRE(model(m).kind == ModelKind::kDiffusion,

@@ -32,36 +32,21 @@ struct ModelVariant {
 
 /// An ordered diffusion model chain (lightest first) plus the per-boundary
 /// discriminators that gate deferral between adjacent stages, and the SLO —
-/// the unit the serving system deploys.
-///
-/// Two registration forms are accepted:
-///   * legacy pair — fill `light_model`/`heavy_model`/`discriminator`
-///     (chain left empty); normalization expands them into a 2-stage chain.
-///   * chain — fill `chain` (1..N models, lightest first) and
-///     `discriminators` (one per boundary; a single entry is replicated
-///     across all boundaries). `light_model`/`heavy_model` are synced to
-///     chain.front()/chain.back() so two-stage call sites keep working.
+/// the unit the serving system deploys. `register_cascade` replicates a
+/// single `discriminators` entry across every boundary.
 struct CascadeSpec {
   std::string name;
-  std::string light_model;
-  std::string heavy_model;
-  std::string discriminator;
-  double slo_seconds = 5.0;
-  /// Full stage list, lightest first. Empty = derive from the pair fields.
+  /// Full stage list, lightest first (1..N models).
   std::vector<std::string> chain;
-  /// Discriminator per boundary (boundary i gates stage i -> i+1). Empty =
-  /// replicate `discriminator`; a single entry is replicated likewise.
+  /// Discriminator per boundary (boundary i gates stage i -> i+1).
   std::vector<std::string> discriminators;
+  double slo_seconds = 5.0;
 
-  /// Expand the legacy pair fields into chain form (idempotent).
-  void normalize();
-  std::size_t stage_count() const {
-    return chain.empty() ? 2 : chain.size();
-  }
+  std::size_t stage_count() const { return chain.size(); }
   std::size_t boundary_count() const { return stage_count() - 1; }
-  /// Model name of stage s (requires a normalized spec when chain is used).
+  /// Model name of stage s.
   const std::string& stage_model(std::size_t s) const;
-  /// Discriminator gating stage b -> b+1 (normalized spec).
+  /// Discriminator gating stage b -> b+1.
   const std::string& boundary_discriminator(std::size_t b) const;
 };
 
@@ -101,9 +86,6 @@ inline constexpr const char* kViT = "vit-b16";
 inline constexpr const char* kCascade1 = "cascade1-sdturbo-sdv15";
 inline constexpr const char* kCascade2 = "cascade2-sdxs-sdv15";
 inline constexpr const char* kCascade3 = "cascade3-sdxlltn-sdxl";
-/// Cascade 1 registered through the explicit chain form — byte-identical
-/// deployment, used to assert the N=2 chain path matches the pair path.
-inline constexpr const char* kCascade1Chain = "cascade1-chain";
 /// Three-stage chain: SDXS (tiny) -> SD-Turbo (base) -> SDv1.5 (large),
 /// with a discriminator at each boundary.
 inline constexpr const char* kChain3 = "chain3-sdxs-sdturbo-sdv15";

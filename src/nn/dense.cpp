@@ -30,8 +30,9 @@ std::vector<double> Dense::forward(const std::vector<double>& x) {
   last_input_ = x;
   last_pre_act_.assign(out_dim_, 0.0);
   for (std::size_t r = 0; r < out_dim_; ++r) {
+    const double* w = &w_(r, 0);
     double s = b_[r];
-    for (std::size_t c = 0; c < in_dim_; ++c) s += w_(r, c) * x[c];
+    for (std::size_t c = 0; c < in_dim_; ++c) s += w[c] * x[c];
     last_pre_act_[r] = s;
   }
   std::vector<double> out = last_pre_act_;
@@ -44,8 +45,9 @@ std::vector<double> Dense::infer(const std::vector<double>& x) const {
   DS_REQUIRE(x.size() == in_dim_, "input dimension mismatch");
   std::vector<double> out(out_dim_, 0.0);
   for (std::size_t r = 0; r < out_dim_; ++r) {
+    const double* w = w_.data().data() + r * in_dim_;
     double s = b_[r];
-    for (std::size_t c = 0; c < in_dim_; ++c) s += w_(r, c) * x[c];
+    for (std::size_t c = 0; c < in_dim_; ++c) s += w[c] * x[c];
     out[r] = s;
   }
   if (act_ == Activation::kRelu)
@@ -64,9 +66,11 @@ std::vector<double> Dense::backward(const std::vector<double>& grad_out) {
   std::vector<double> grad_in(in_dim_, 0.0);
   for (std::size_t r = 0; r < out_dim_; ++r) {
     gb_[r] += dz[r];
+    double* gw = &gw_(r, 0);
+    const double* w = &w_(r, 0);
     for (std::size_t c = 0; c < in_dim_; ++c) {
-      gw_(r, c) += dz[r] * last_input_[c];
-      grad_in[c] += dz[r] * w_(r, c);
+      gw[c] += dz[r] * last_input_[c];
+      grad_in[c] += dz[r] * w[c];
     }
   }
   return grad_in;
@@ -84,12 +88,15 @@ void Dense::adam_step(const AdamConfig& cfg, std::size_t batch_size) {
   const double bc1 = 1.0 - std::pow(cfg.beta1, static_cast<double>(adam_t_));
   const double bc2 = 1.0 - std::pow(cfg.beta2, static_cast<double>(adam_t_));
   for (std::size_t r = 0; r < out_dim_; ++r) {
+    const double* gw = &gw_(r, 0);
+    double* mw = &mw_(r, 0);
+    double* vw = &vw_(r, 0);
+    double* w = &w_(r, 0);
     for (std::size_t c = 0; c < in_dim_; ++c) {
-      const double g = gw_(r, c) * inv_b;
-      mw_(r, c) = cfg.beta1 * mw_(r, c) + (1.0 - cfg.beta1) * g;
-      vw_(r, c) = cfg.beta2 * vw_(r, c) + (1.0 - cfg.beta2) * g * g;
-      w_(r, c) -= cfg.lr * (mw_(r, c) / bc1) /
-                  (std::sqrt(vw_(r, c) / bc2) + cfg.eps);
+      const double g = gw[c] * inv_b;
+      mw[c] = cfg.beta1 * mw[c] + (1.0 - cfg.beta1) * g;
+      vw[c] = cfg.beta2 * vw[c] + (1.0 - cfg.beta2) * g * g;
+      w[c] -= cfg.lr * (mw[c] / bc1) / (std::sqrt(vw[c] / bc2) + cfg.eps);
     }
     const double g = gb_[r] * inv_b;
     mb_[r] = cfg.beta1 * mb_[r] + (1.0 - cfg.beta1) * g;

@@ -88,15 +88,7 @@ class ServingSystem {
   double stage_exec_latency(std::size_t s, int batch) const {
     return engine_.stage_exec_latency(s, batch);
   }
-  double light_exec_latency(int batch) const {
-    return engine_.light_exec_latency(batch);
-  }
-  double heavy_exec_latency(int batch) const {
-    return engine_.heavy_exec_latency(batch);
-  }
   std::size_t stage_count() const { return engine_.stage_count(); }
-  int light_tier() const { return engine_.light_tier(); }
-  int heavy_tier() const { return engine_.heavy_tier(); }
   const models::CascadeSpec& cascade() const { return engine_.cascade(); }
   std::size_t worker_count() const { return engine_.worker_count(); }
 

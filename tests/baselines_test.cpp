@@ -22,13 +22,13 @@ AllocationInput cascade1_input(double demand, int workers = 16,
   in.slo_seconds = slo;
   const auto repo = models::ModelRepository::with_paper_catalog();
   const auto disc = repo.model(models::catalog::kEfficientNet).latency;
-  in.light() =
+  in.stages[0].perf =
       StagePerfModel(repo.model(models::catalog::kSdTurbo).latency, &disc);
-  in.heavy() =
+  in.stages[1].perf =
       StagePerfModel(repo.model(models::catalog::kSdV15).latency, nullptr);
   for (int k = 0; k <= 50; ++k) {
     const double f = 0.65 * k / 50.0;
-    in.threshold_grid().push_back({std::pow(f, 2.0 / 3.0), f});
+    in.boundary_grids[0].push_back({std::pow(f, 2.0 / 3.0), f});
   }
   return in;
 }
@@ -38,8 +38,8 @@ TEST(ClipperLight, AllWorkersLightDirectMode) {
   const auto d = alloc.allocate(cascade1_input(10.0));
   EXPECT_TRUE(d.direct_mode);
   EXPECT_EQ(d.p_heavy, 0.0);
-  EXPECT_EQ(d.light_workers(), 16);
-  EXPECT_EQ(d.heavy_workers(), 0);
+  EXPECT_EQ(d.workers[0], 16);
+  EXPECT_EQ(d.workers[1], 0);
   EXPECT_EQ(alloc.name(), "clipper-light");
 }
 
@@ -48,7 +48,7 @@ TEST(ClipperHeavy, AllWorkersHeavyDirectMode) {
   const auto d = alloc.allocate(cascade1_input(10.0));
   EXPECT_TRUE(d.direct_mode);
   EXPECT_EQ(d.p_heavy, 1.0);
-  EXPECT_EQ(d.heavy_workers(), 16);
+  EXPECT_EQ(d.workers[1], 16);
   EXPECT_EQ(alloc.name(), "clipper-heavy");
 }
 
@@ -58,11 +58,11 @@ TEST(Clipper, AimdBatchRespondsToViolations) {
   in.recent_violation_ratio = 0.0;
   int batch_after_calm = 1;
   for (int i = 0; i < 3; ++i)
-    batch_after_calm = alloc.allocate(in).light_batch();
+    batch_after_calm = alloc.allocate(in).batches[0];
   EXPECT_GT(batch_after_calm, 1);
   in.recent_violation_ratio = 0.5;
   const auto d = alloc.allocate(in);
-  EXPECT_LT(d.light_batch(), batch_after_calm);
+  EXPECT_LT(d.batches[0], batch_after_calm);
 }
 
 TEST(Clipper, BatchNeverExceedsSloLatency) {
@@ -71,7 +71,7 @@ TEST(Clipper, BatchNeverExceedsSloLatency) {
   in.recent_violation_ratio = 0.0;
   control::AllocationDecision d;
   for (int i = 0; i < 12; ++i) d = alloc.allocate(in);
-  EXPECT_LE(in.heavy().stage_latency(d.heavy_batch()), in.slo_seconds);
+  EXPECT_LE(in.stages[1].perf.stage_latency(d.batches[1]), in.slo_seconds);
 }
 
 TEST(Proteus, UsesAllWorkersAndRandomRouting) {
@@ -79,7 +79,7 @@ TEST(Proteus, UsesAllWorkersAndRandomRouting) {
   const auto d = alloc.allocate(cascade1_input(10.0));
   ASSERT_TRUE(d.feasible);
   EXPECT_TRUE(d.direct_mode);
-  EXPECT_EQ(d.light_workers() + d.heavy_workers(), 16);
+  EXPECT_EQ(d.workers[0] + d.workers[1], 16);
   EXPECT_GE(d.p_heavy, 0.0);
   EXPECT_LE(d.p_heavy, 1.0);
 }
@@ -98,8 +98,9 @@ TEST(Proteus, CapacityCoversDemand) {
   const auto in = cascade1_input(20.0);
   const auto d = alloc.allocate(in);
   ASSERT_TRUE(d.feasible);
-  const double cap = d.light_workers() * in.light().throughput(d.light_batch()) +
-                     d.heavy_workers() * in.heavy().throughput(d.heavy_batch());
+  double cap = 0.0;
+  for (std::size_t s = 0; s < 2; ++s)
+    cap += d.workers[s] * in.stages[s].perf.throughput(d.batches[s]);
   EXPECT_GE(cap, in.provisioned_demand() - 1e-9);
 }
 
@@ -108,7 +109,7 @@ TEST(Proteus, OverloadServesLightBestEffort) {
   const auto d = alloc.allocate(cascade1_input(1000.0, 2));
   EXPECT_FALSE(d.feasible);
   EXPECT_EQ(d.p_heavy, 0.0);
-  EXPECT_EQ(d.light_workers(), 2);
+  EXPECT_EQ(d.workers[0], 2);
 }
 
 TEST(DiffServeStatic, SolvesOnceAndStaysFixed) {
@@ -116,9 +117,9 @@ TEST(DiffServeStatic, SolvesOnceAndStaysFixed) {
   const auto d1 = alloc.allocate(cascade1_input(5.0));
   // Different live demand: identical plan (static provisioning).
   const auto d2 = alloc.allocate(cascade1_input(18.0));
-  EXPECT_EQ(d1.light_workers(), d2.light_workers());
-  EXPECT_EQ(d1.heavy_workers(), d2.heavy_workers());
-  EXPECT_EQ(d1.threshold(), d2.threshold());
+  EXPECT_EQ(d1.workers[0], d2.workers[0]);
+  EXPECT_EQ(d1.workers[1], d2.workers[1]);
+  EXPECT_EQ(d1.thresholds[0], d2.thresholds[0]);
   EXPECT_FALSE(d1.direct_mode);  // query-aware cascade
 }
 
@@ -129,7 +130,7 @@ TEST(DiffServeStatic, ProvisionsForPeakNotCurrentDemand) {
   control::ExhaustiveAllocator oracle;
   auto peak_in = cascade1_input(20.0);
   // Pin grid to the nearest point like the static allocator does.
-  EXPECT_GT(d.heavy_workers(), 2);  // clearly sized for 20 QPS, not 1 QPS
+  EXPECT_GT(d.workers[1], 2);  // clearly sized for 20 QPS, not 1 QPS
   (void)oracle;
   (void)peak_in;
 }

@@ -26,15 +26,15 @@ AllocationInput cascade1_input(double demand, int workers = 16,
   in.slo_seconds = slo;
   const auto repo = models::ModelRepository::with_paper_catalog();
   const auto disc = repo.model(models::catalog::kEfficientNet).latency;
-  in.light() = StagePerfModel(
+  in.stages[0].perf = StagePerfModel(
       repo.model(models::catalog::kSdTurbo).latency, &disc);
-  in.heavy() =
+  in.stages[1].perf =
       StagePerfModel(repo.model(models::catalog::kSdV15).latency, nullptr);
   // A smooth synthetic confidence CDF: thresholds t with f(t) = t^1.5,
   // capped at 0.65 like the controller's default grid.
   for (int k = 0; k <= 50; ++k) {
     const double f = 0.65 * k / 50.0;
-    in.threshold_grid().push_back({std::pow(f, 1.0 / 1.5), f});
+    in.boundary_grids[0].push_back({std::pow(f, 1.0 / 1.5), f});
   }
   return in;
 }
@@ -59,9 +59,8 @@ TEST(Exhaustive, DecisionSatisfiesPaperConstraints) {
   const auto in = cascade1_input(10.0);
   const auto d = alloc.allocate(in);
   ASSERT_TRUE(d.feasible);
-  EXPECT_TRUE(satisfies_constraints(in, d.light_workers(), d.heavy_workers(),
-                                    d.light_batch(), d.heavy_batch(),
-                                    d.deferral_fraction()));
+  EXPECT_TRUE(satisfies_constraints(in, d.workers, d.batches,
+                                    {1.0, d.deferral_fractions[0]}));
 }
 
 TEST(Exhaustive, LowDemandMaximizesThreshold) {
@@ -70,7 +69,7 @@ TEST(Exhaustive, LowDemandMaximizesThreshold) {
   const auto d = alloc.allocate(in);
   ASSERT_TRUE(d.feasible);
   // With ample capacity the threshold should hit the top of the grid.
-  EXPECT_NEAR(d.threshold(), in.threshold_grid().back().threshold, 1e-9);
+  EXPECT_NEAR(d.thresholds[0], in.boundary_grids[0].back().threshold, 1e-9);
 }
 
 TEST(Exhaustive, HighDemandLowersThreshold) {
@@ -79,23 +78,23 @@ TEST(Exhaustive, HighDemandLowersThreshold) {
   const auto hi = alloc.allocate(cascade1_input(25.0));
   ASSERT_TRUE(lo.feasible);
   ASSERT_TRUE(hi.feasible);
-  EXPECT_LT(hi.threshold(), lo.threshold());
-  EXPECT_LT(hi.deferral_fraction(), lo.deferral_fraction());
+  EXPECT_LT(hi.thresholds[0], lo.thresholds[0]);
+  EXPECT_LT(hi.deferral_fractions[0], lo.deferral_fractions[0]);
 }
 
 TEST(Exhaustive, OverloadFallsBackGracefully) {
   ExhaustiveAllocator alloc;
   const auto d = alloc.allocate(cascade1_input(500.0, /*workers=*/4));
   EXPECT_FALSE(d.feasible);
-  EXPECT_LE(d.light_workers() + d.heavy_workers(), 4);
-  EXPECT_GE(d.light_workers(), 1);
+  EXPECT_LE(d.workers[0] + d.workers[1], 4);
+  EXPECT_GE(d.workers[0], 1);
 }
 
 TEST(Exhaustive, OverloadFallbackBatchesFitTheSlo) {
   const auto in = cascade1_input(500.0, 4);
   const auto d = overload_fallback(in);
-  EXPECT_LE(in.heavy().stage_latency(d.heavy_batch()) +
-                in.light().stage_latency(d.light_batch()),
+  EXPECT_LE(in.stages[1].perf.stage_latency(d.batches[1]) +
+                in.stages[0].perf.stage_latency(d.batches[0]),
             in.slo_seconds + 1e-9);
 }
 
@@ -112,11 +111,10 @@ TEST_P(MilpMatchesExhaustive, SameThresholdAcrossDemands) {
   if (a.feasible) {
     // Both maximize the threshold; they must agree on it (modulo grid
     // rounding of the continuous solution).
-    EXPECT_NEAR(a.deferral_fraction(), b.deferral_fraction(), 0.015)
+    EXPECT_NEAR(a.deferral_fractions[0], b.deferral_fractions[0], 0.015)
         << "demand " << demand;
-    EXPECT_TRUE(satisfies_constraints(in, b.light_workers(), b.heavy_workers(),
-                                      b.light_batch(), b.heavy_batch(),
-                                      b.deferral_fraction()));
+    EXPECT_TRUE(satisfies_constraints(in, b.workers, b.batches,
+                                      {1.0, b.deferral_fractions[0]}));
   }
 }
 
@@ -132,7 +130,7 @@ TEST(Milp, GridFormulationMatchesContinuous) {
   const auto b = grid.allocate(in);
   ASSERT_TRUE(a.feasible);
   ASSERT_TRUE(b.feasible);
-  EXPECT_NEAR(a.deferral_fraction(), b.deferral_fraction(), 0.015);
+  EXPECT_NEAR(a.deferral_fractions[0], b.deferral_fractions[0], 0.015);
 }
 
 TEST(Milp, BuildProblemHasPaperConstraints) {
@@ -147,31 +145,31 @@ TEST(Milp, BuildProblemHasPaperConstraints) {
 TEST(Milp, QueueBacklogTriggersRelaxedResolve) {
   auto in = cascade1_input(10.0);
   // A transient backlog that makes Eq. 1 unsatisfiable as observed.
-  in.heavy_queue_length() = 100.0;
-  in.heavy_arrival_rate() = 5.0;  // q2 = 20 s >> SLO
+  in.stages[1].queue_length = 100.0;
+  in.stages[1].arrival_rate = 5.0;  // q2 = 20 s >> SLO
   MilpAllocator milp;
   const auto d = milp.allocate(in);
   // Must still produce a capacity plan rather than the overload fallback.
   EXPECT_TRUE(d.feasible);
-  EXPECT_GT(d.heavy_workers(), 0);
+  EXPECT_GT(d.workers[1], 0);
 }
 
 TEST(StaticThreshold, PinsTheGrid) {
   const auto in = cascade1_input(6.0);
-  const double target = in.threshold_grid()[20].threshold;
+  const double target = in.boundary_grids[0][20].threshold;
   StaticThresholdAllocator alloc(std::make_unique<ExhaustiveAllocator>(),
                                  target);
   const auto d = alloc.allocate(in);
-  EXPECT_NEAR(d.threshold(), target, 1e-9);
+  EXPECT_NEAR(d.thresholds[0], target, 1e-9);
   // Even at low demand the threshold cannot rise above the pin.
   const auto d2 = alloc.allocate(cascade1_input(1.0));
-  EXPECT_NEAR(d2.threshold(), target, 1e-9);
+  EXPECT_NEAR(d2.thresholds[0], target, 1e-9);
 }
 
 TEST(NoQueueModel, IgnoresRealQueueObservations) {
   auto in = cascade1_input(8.0);
-  in.heavy_queue_length() = 1000.0;  // would dominate Little's law
-  in.heavy_arrival_rate() = 1.0;
+  in.stages[1].queue_length = 1000.0;  // would dominate Little's law
+  in.stages[1].arrival_rate = 1.0;
   NoQueueModelAllocator alloc(std::make_unique<ExhaustiveAllocator>());
   const auto d = alloc.allocate(in);
   // The heuristic replaces the backlog with 2x exec, so a feasible plan
@@ -197,7 +195,7 @@ TEST(AimdBatching, NeverStepsPastSloInfeasibleBatch) {
   in.recent_violation_ratio = 0.0;
   for (int i = 0; i < 20; ++i) alloc.allocate(in);
   // Heavy batches above 2 blow the 5 s SLO (1.5 * e2(4) > 5 s).
-  EXPECT_LE(in.heavy().stage_latency(alloc.current_heavy_batch()),
+  EXPECT_LE(in.stages[1].perf.stage_latency(alloc.current_heavy_batch()),
             in.slo_seconds);
 }
 

@@ -28,8 +28,8 @@ trace::RateTrace short_trace() {
 TEST(Environment, AssemblesCascade1) {
   const auto& env = shared_env();
   EXPECT_EQ(env.cascade().name, models::catalog::kCascade1);
-  EXPECT_EQ(env.light_tier(), 2);
-  EXPECT_EQ(env.heavy_tier(), 5);
+  EXPECT_EQ(env.stage_tier(0), 2);
+  EXPECT_EQ(env.stage_tier(1), 5);
   EXPECT_EQ(env.default_slo(), 5.0);
   EXPECT_GT(env.offline_profile().sample_count(), 100u);
 }
@@ -212,9 +212,9 @@ TEST(Experiment, ControllerHistoryRecorded) {
   EXPECT_GT(r.control_history.size(), 10u);
   EXPECT_GT(r.mean_solve_ms(), 0.0);
   for (const auto& h : r.control_history) {
-    EXPECT_LE(h.decision.light_workers() + h.decision.heavy_workers(), 8);
-    EXPECT_GE(h.decision.threshold(), 0.0);
-    EXPECT_LE(h.decision.threshold(), 1.0);
+    EXPECT_LE(h.decision.workers[0] + h.decision.workers[1], 8);
+    EXPECT_GE(h.decision.thresholds[0], 0.0);
+    EXPECT_LE(h.decision.thresholds[0], 1.0);
   }
 }
 

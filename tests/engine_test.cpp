@@ -58,31 +58,6 @@ TEST(EngineParity, DesAndThreadedBackendsAgree) {
   EXPECT_EQ(des.submitted, threaded.submitted);
 }
 
-TEST(EngineEquivalence, ChainRegistrationMatchesPairRegistration) {
-  // The N-stage generalization must make N=2 a pure special case: the same
-  // two-model cascade registered through the explicit chain form
-  // (cascade1-chain) reproduces the pair-registered cascade1 report
-  // *exactly* on a fixed trace.
-  core::EnvironmentConfig chain_cfg;
-  chain_cfg.cascade = models::catalog::kCascade1Chain;
-  chain_cfg.workload_queries = 800;
-  chain_cfg.discriminator.train_queries = 500;
-  chain_cfg.profile_queries = 500;
-  const core::CascadeEnvironment chain_env(chain_cfg);
-
-  const auto tr = trace::RateTrace::azure_like(2.0, 8.0, 80.0, 7);
-  core::RunConfig rc;
-  rc.approach = core::Approach::kDiffServeExhaustive;
-  rc.total_workers = 6;
-  rc.trace = tr;
-  rc.controller.initial_demand_guess = tr.qps_at(0.0);
-
-  const auto pair_run = core::run_experiment(shared_env(), rc);
-  const auto chain_run = core::run_experiment(chain_env, rc);
-
-  EXPECT_EQ(pair_run, chain_run);
-}
-
 TEST(EngineEquivalence, DisabledCacheIsByteIdentical) {
   // The reuse cache must be a pure switch: with cache.enabled == false,
   // every other cache/prompt-mix knob in the config is dead state and the
@@ -201,9 +176,9 @@ TEST(EngineReconfig, DesEvictionReroutesAndCountsOncePerPlan) {
                                 cfg);
 
   serving::AllocationPlan a;
-  a.light_workers() = 3;
-  a.heavy_workers() = 1;
-  a.threshold() = 0.4;
+  a.workers[0] = 3;
+  a.workers[1] = 1;
+  a.thresholds[0] = 0.4;
   system.apply(a);
   EXPECT_EQ(system.engine().reconfigurations(), 1u);  // initial load
   system.apply(a);
@@ -217,8 +192,8 @@ TEST(EngineReconfig, DesEvictionReroutesAndCountsOncePerPlan) {
   system.inject_arrivals(arrivals);
   sim.schedule_at(0.8, [&] {
     serving::AllocationPlan b = a;
-    b.light_workers() = 1;
-    b.heavy_workers() = 3;
+    b.workers[0] = 1;
+    b.workers[1] = 3;
     system.apply(b);
   });
   sim.run_until(80.0);
@@ -239,12 +214,12 @@ class FlipAllocator final : public control::Allocator {
       const control::AllocationInput&) override {
     control::AllocationDecision d;
     d.feasible = true;
-    d.light_batch() = 1;
-    d.heavy_batch() = 1;
-    d.threshold() = 0.4;
+    d.batches[0] = 1;
+    d.batches[1] = 1;
+    d.thresholds[0] = 0.4;
     const bool flipped = ticks_++ >= flip_after_;
-    d.light_workers() = flipped ? 1 : 3;
-    d.heavy_workers() = flipped ? 3 : 1;
+    d.workers[0] = flipped ? 1 : 3;
+    d.workers[1] = flipped ? 3 : 1;
     return d;
   }
   std::string name() const override { return "flip"; }

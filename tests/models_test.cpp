@@ -82,12 +82,12 @@ TEST(Repository, PaperCatalogLatencies) {
 TEST(Repository, PaperCascades) {
   const auto repo = ModelRepository::with_paper_catalog();
   const auto& c1 = repo.cascade(catalog::kCascade1);
-  EXPECT_EQ(c1.light_model, catalog::kSdTurbo);
-  EXPECT_EQ(c1.heavy_model, catalog::kSdV15);
+  EXPECT_EQ(c1.chain,
+            (std::vector<std::string>{catalog::kSdTurbo, catalog::kSdV15}));
   EXPECT_EQ(c1.slo_seconds, 5.0);
   const auto& c3 = repo.cascade(catalog::kCascade3);
-  EXPECT_EQ(c3.light_model, catalog::kSdxlLightning);
-  EXPECT_EQ(c3.heavy_model, catalog::kSdxl);
+  EXPECT_EQ(c3.chain, (std::vector<std::string>{catalog::kSdxlLightning,
+                                                catalog::kSdxl}));
   EXPECT_EQ(c3.slo_seconds, 15.0);
 }
 
@@ -119,15 +119,17 @@ TEST(Repository, CascadeValidation) {
   repo.register_model({"disc", ModelKind::kDiscriminator,
                        LatencyProfile::affine(0.01), 0, 512});
   // Unknown member.
-  EXPECT_THROW(repo.register_cascade({"c", "light", "missing", "disc", 5.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      repo.register_cascade({"c", {"light", "missing"}, {"disc"}, 5.0}),
+      std::invalid_argument);
   // Discriminator must have the right kind.
-  EXPECT_THROW(repo.register_cascade({"c", "light", "heavy", "heavy", 5.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      repo.register_cascade({"c", {"light", "heavy"}, {"heavy"}, 5.0}),
+      std::invalid_argument);
   // Valid.
   EXPECT_NO_THROW(
-      repo.register_cascade({"c", "light", "heavy", "disc", 5.0}));
-  EXPECT_EQ(repo.cascade("c").heavy_model, "heavy");
+      repo.register_cascade({"c", {"light", "heavy"}, {"disc"}, 5.0}));
+  EXPECT_EQ(repo.cascade("c").chain.back(), "heavy");
 }
 
 TEST(Repository, UnknownLookupsThrow) {
@@ -140,9 +142,8 @@ TEST(Repository, UnknownLookupsThrow) {
 TEST(Repository, CatalogListsAllNames) {
   const auto repo = ModelRepository::with_paper_catalog();
   EXPECT_EQ(repo.model_names().size(), 8u);
-  // Three paper cascades + the chain-form trio (cascade1-chain, chain3,
-  // solo).
-  EXPECT_EQ(repo.cascade_names().size(), 6u);
+  // Three paper cascades + the three-stage chain and the solo deployment.
+  EXPECT_EQ(repo.cascade_names().size(), 5u);
 }
 
 TEST(Repository, PairRegistrationNormalizesToChain) {
@@ -160,16 +161,16 @@ TEST(Repository, ChainRegistrationSyncsPairAliases) {
   const auto repo = ModelRepository::with_paper_catalog();
   const auto& chain3 = repo.cascade(catalog::kChain3);
   ASSERT_EQ(chain3.chain.size(), 3u);
-  EXPECT_EQ(chain3.light_model, catalog::kSdxs);
-  EXPECT_EQ(chain3.heavy_model, catalog::kSdV15);
+  EXPECT_EQ(chain3.stage_model(0), catalog::kSdxs);
+  EXPECT_EQ(chain3.stage_model(2), catalog::kSdV15);
   EXPECT_EQ(chain3.boundary_count(), 2u);
   EXPECT_EQ(chain3.boundary_discriminator(1), catalog::kEfficientNet);
 
   const auto& solo = repo.cascade(catalog::kSoloHeavy);
   ASSERT_EQ(solo.chain.size(), 1u);
+  EXPECT_EQ(solo.stage_model(0), catalog::kSdV15);
   EXPECT_EQ(solo.boundary_count(), 0u);
   EXPECT_TRUE(solo.discriminators.empty());
-  EXPECT_EQ(solo.light_model, solo.heavy_model);
 }
 
 TEST(Repository, ChainValidation) {
@@ -207,7 +208,12 @@ TEST(Repository, ChainValidation) {
   bad = ok;
   bad.name = "bad3";
   bad.discriminators.clear();
-  bad.discriminator.clear();
+  EXPECT_THROW(repo.register_cascade(bad), std::invalid_argument);
+
+  // A cascade needs at least one stage.
+  bad = ok;
+  bad.name = "bad4";
+  bad.chain.clear();
   EXPECT_THROW(repo.register_cascade(bad), std::invalid_argument);
 }
 

@@ -43,7 +43,7 @@ models::ModelRepository unit_repo() {
                        models::LatencyProfile::affine(1.0), /*tier=*/2, 512});
   repo.register_model({"d", models::ModelKind::kDiscriminator,
                        models::LatencyProfile::affine(0.01), 0, 512});
-  repo.register_cascade({"unit", "m", "h", "d", 100.0});
+  repo.register_cascade({"unit", {"m", "h"}, {"d"}, 100.0});
   return repo;
 }
 
@@ -63,9 +63,9 @@ class UnitHarness {
   void apply_direct(int light_batch) {
     AllocationPlan plan;
     plan.mode = RoutingMode::kDirect;
-    plan.light_workers() = system_->config().total_workers;
-    plan.heavy_workers() = 0;
-    plan.light_batch() = light_batch;
+    plan.workers[0] = system_->config().total_workers;
+    plan.workers[1] = 0;
+    plan.batches[0] = light_batch;
     system_->apply(plan);
   }
 
@@ -124,8 +124,8 @@ TEST(EngineBatching, RejectsUnsupportedBatch) {
   UnitHarness h(100.0);
   AllocationPlan plan;
   plan.mode = RoutingMode::kDirect;
-  plan.light_workers() = 1;
-  plan.light_batch() = 3;  // not in the profile {1, 2, 4}
+  plan.workers[0] = 1;
+  plan.batches[0] = 3;  // not in the profile {1, 2, 4}
   EXPECT_THROW(h.system_->apply(plan), std::invalid_argument);
 }
 
@@ -173,11 +173,11 @@ TEST_F(ServingIntegration, CascadeServesAndDefers) {
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.mode = RoutingMode::kCascade;
-  plan.light_workers() = 1;
-  plan.heavy_workers() = 3;
-  plan.light_batch() = 1;
-  plan.heavy_batch() = 1;
-  plan.threshold() = 0.5;
+  plan.workers[0] = 1;
+  plan.workers[1] = 3;
+  plan.batches[0] = 1;
+  plan.batches[1] = 1;
+  plan.thresholds[0] = 0.5;
   system.apply(plan);
 
   std::vector<double> arrivals;
@@ -205,9 +205,9 @@ TEST_F(ServingIntegration, ThresholdZeroServesEverythingLight) {
                        repo_->cascade(models::catalog::kCascade1), disc_,
                        *scorer_, cfg);
   AllocationPlan plan;
-  plan.light_workers() = 2;
-  plan.heavy_workers() = 0;
-  plan.threshold() = 0.0;
+  plan.workers[0] = 2;
+  plan.workers[1] = 0;
+  plan.thresholds[0] = 0.0;
   system.apply(plan);
   std::vector<double> arrivals;
   for (int i = 0; i < 20; ++i) arrivals.push_back(0.2 + i * 0.3);
@@ -230,8 +230,8 @@ TEST_F(ServingIntegration, DirectModeSplitsByProbability) {
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.mode = RoutingMode::kDirect;
-  plan.light_workers() = 2;
-  plan.heavy_workers() = 6;
+  plan.workers[0] = 2;
+  plan.workers[1] = 6;
   plan.p_heavy = 0.5;
   system.apply(plan);
   std::vector<double> arrivals;
@@ -253,9 +253,9 @@ TEST_F(ServingIntegration, ReconfigurationPreservesQueries) {
                        repo_->cascade(models::catalog::kCascade1), disc_,
                        *scorer_, cfg);
   AllocationPlan plan;
-  plan.light_workers() = 3;
-  plan.heavy_workers() = 1;
-  plan.threshold() = 0.3;
+  plan.workers[0] = 3;
+  plan.workers[1] = 1;
+  plan.thresholds[0] = 0.3;
   system.apply(plan);
   std::vector<double> arrivals;
   for (int i = 0; i < 30; ++i) arrivals.push_back(0.1 * i);
@@ -263,8 +263,8 @@ TEST_F(ServingIntegration, ReconfigurationPreservesQueries) {
   // Mid-stream, flip the split; queued queries must be re-routed, not lost.
   sim.schedule_at(1.5, [&] {
     AllocationPlan p2 = plan;
-    p2.light_workers() = 1;
-    p2.heavy_workers() = 3;
+    p2.workers[0] = 1;
+    p2.workers[1] = 3;
     system.apply(p2);
   });
   sim.run_until(60.0);
@@ -346,8 +346,8 @@ TEST_F(ServingIntegration, PlanExceedingClusterRejected) {
                        repo_->cascade(models::catalog::kCascade1), disc_,
                        *scorer_, cfg);
   AllocationPlan plan;
-  plan.light_workers() = 2;
-  plan.heavy_workers() = 2;
+  plan.workers[0] = 2;
+  plan.workers[1] = 2;
   EXPECT_THROW(system.apply(plan), std::invalid_argument);
 }
 
@@ -359,11 +359,11 @@ TEST_F(ServingIntegration, SparesJoinLightPool) {
                        repo_->cascade(models::catalog::kCascade1), disc_,
                        *scorer_, cfg);
   AllocationPlan plan;
-  plan.light_workers() = 1;
-  plan.heavy_workers() = 2;
+  plan.workers[0] = 1;
+  plan.workers[1] = 2;
   system.apply(plan);
-  EXPECT_EQ(system.engine().light_stats().workers, 4);  // 1 + 3 spares
-  EXPECT_EQ(system.engine().heavy_stats().workers, 2);
+  EXPECT_EQ(system.engine().stage_stats(0).workers, 4);  // 1 + 3 spares
+  EXPECT_EQ(system.engine().stage_stats(1).workers, 2);
 }
 
 TEST_F(ServingIntegration, FastModeMatchesRecordingModeAggregates) {
@@ -381,9 +381,9 @@ TEST_F(ServingIntegration, FastModeMatchesRecordingModeAggregates) {
         sim, *workload_, *repo_, repo_->cascade(models::catalog::kCascade1),
         disc_, *scorer_, cfg);
     AllocationPlan plan;
-    plan.light_workers() = 3;
-    plan.heavy_workers() = 1;
-    plan.light_batch() = 2;
+    plan.workers[0] = 3;
+    plan.workers[1] = 1;
+    plan.batches[0] = 2;
     plan.thresholds = {0.5};
     system->apply(plan);
     std::vector<double> arrivals;
@@ -422,8 +422,8 @@ TEST_F(ServingIntegration, ExecLatencyIncludesDiscriminator) {
                        *scorer_, cfg);
   const auto& light =
       repo_->model(models::catalog::kSdTurbo).latency.execution_latency(1);
-  EXPECT_GT(system.light_exec_latency(1), light);
-  EXPECT_NEAR(system.heavy_exec_latency(1), 1.78, 1e-9);
+  EXPECT_GT(system.stage_exec_latency(0, 1), light);
+  EXPECT_NEAR(system.stage_exec_latency(1, 1), 1.78, 1e-9);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ models::ModelRepository unit_repo() {
                        models::LatencyProfile::affine(1.0), /*tier=*/2, 512});
   repo.register_model({"d", models::ModelKind::kDiscriminator,
                        models::LatencyProfile::affine(0.01), 0, 512});
-  repo.register_cascade({"unit", "m", "h", "d", 100.0});
+  repo.register_cascade({"unit", {"m", "h"}, {"d"}, 100.0});
   return repo;
 }
 
@@ -63,9 +63,9 @@ class ClassHarness {
                                               scorer_, cfg);
     AllocationPlan plan;
     plan.mode = RoutingMode::kDirect;
-    plan.light_workers() = 1;
-    plan.heavy_workers() = 0;
-    plan.light_batch() = light_batch;
+    plan.workers[0] = 1;
+    plan.workers[1] = 0;
+    plan.batches[0] = light_batch;
     system_->apply(plan);
   }
 
