@@ -66,10 +66,11 @@ int main() {
     sys.total_workers = 12;
     sys.slo_seconds = slo;
     serving::ServingSystem system(sim, workload, repo,
-                                  repo.cascade("flash-studio"), &disc,
+                                  repo.cascade("flash-studio"), {&disc},
                                   scorer, sys);
-    control::Controller controller(
-        system.engine(), std::make_unique<control::MilpAllocator>(), profile);
+    control::Controller controller(system.engine(),
+                                   std::make_unique<control::MilpAllocator>(),
+                                   {profile});
 
     util::Rng rng(5);
     const auto tr = trace::RateTrace::azure_like(3.0, 14.0, 180.0, 7);

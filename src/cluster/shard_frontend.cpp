@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/engine.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -111,18 +112,10 @@ engine::Query ShardFrontend::submit_next(double now) {
   std::size_t shard = 0;
   {
     util::MutexLock lock(mu_);
-    // Field-for-field what engine::CascadeEngine::submit_next assigns —
-    // the 1-shard equivalence contract depends on this.
-    q.seq = next_seq_++;
-    q.prompt_id = sampler_.next();
-    q.arrival_time = now;
-    q.deadline = now + cfg_.slo_seconds;
-    if (cfg_.slo_classes.enabled) {
-      q.query_class =
-          static_cast<engine::QueryClass>(sampler_.next_class());
-      q.deadline = now + cfg_.slo_seconds *
-                             cfg_.slo_classes.multiplier(q.query_class);
-    }
+    // The engine's own admission — the 1-shard equivalence contract
+    // depends on this.
+    q = engine::admit_query(next_seq_++, now, sampler_, cfg_.slo_seconds,
+                            cfg_.slo_classes);
     shard = route_locked(q.prompt_id);
     ++inflight_[shard];
     ++submitted_;

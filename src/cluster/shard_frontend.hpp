@@ -19,10 +19,10 @@
 //
 // Determinism contract: with loopback transports at zero hop latency a
 // 1-shard frontend is decision-identical to calling the engine directly —
-// submit_next() fills the exact fields engine::CascadeEngine::submit_next
-// would (same sequence numbers, same PromptSampler stream, same
-// deadlines), delivery is synchronous, and the single shard is always the
-// hash owner.
+// submit_next() admits through engine::admit_query like
+// engine::CascadeEngine::submit_next (same sequence numbers, same
+// PromptSampler stream, same deadlines), delivery is synchronous, and the
+// single shard is always the hash owner.
 //
 // Thread safety: all mutable state (sampler, sequence, in-flight
 // counters, sink) is under one mutex; sends happen outside it. Receivers
@@ -88,8 +88,8 @@ class ShardFrontend {
   void start_transports();
   void stop_transports();
 
-  /// Admit the next query: fills seq / sampled prompt / deadline exactly
-  /// like engine::CascadeEngine::submit_next, routes it, and sends the
+  /// Admit the next query through engine::admit_query (as
+  /// engine::CascadeEngine::submit_next does), route it, and send the
   /// submit frame. Returns the admitted query.
   engine::Query submit_next(double now);
   /// Admit an externally constructed query (arrival_time/deadline set).

@@ -48,15 +48,6 @@ struct AllocationInput {
   /// Recent SLO violation ratio (consumed by AIMD batching).
   double recent_violation_ratio = 0.0;
 
-  /// Per-SLO-class demand (QPS, indexed by engine::QueryClass — size 3 in
-  /// class-aware setups, empty otherwise) and the controller's objective
-  /// weights. The weighted per-class deadlines are already folded into
-  /// `slo_seconds` (the effective SLO), so every allocator is class-aware
-  /// without per-allocator changes; these vectors let class-conscious
-  /// allocators refine further.
-  std::vector<double> class_demand_qps;
-  std::vector<double> class_slo_weights;
-
   /// Chain stages, lightest first. Defaults to the classic two-stage
   /// cascade shape (stage 0 at 0.90 utilization, stage 1 at 0.85).
   std::vector<StageObs> stages;

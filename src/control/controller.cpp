@@ -9,14 +9,36 @@ namespace diffserve::control {
 
 namespace {
 
-std::vector<discriminator::DeferralProfile> replicate_profile(
-    discriminator::DeferralProfile profile, std::size_t boundaries) {
-  std::vector<discriminator::DeferralProfile> out;
-  out.reserve(boundaries);
-  for (std::size_t b = 0; b + 1 < boundaries; ++b) out.push_back(profile);
-  if (boundaries > 0) out.push_back(std::move(profile));
-  return out;
-}
+/// The single-engine plane: observes the engine directly and applies the
+/// plan to it.
+class EnginePlane final : public ServingPlane {
+ public:
+  explicit EnginePlane(engine::CascadeEngine& engine) : engine_(engine) {}
+
+  const engine::CascadeEngine& reference() const override { return engine_; }
+  int total_workers() const override { return engine_.config().total_workers; }
+  double slo_seconds() const override { return engine_.config().slo_seconds; }
+
+  Observation observe() override {
+    Observation obs;
+    obs.demand_rate = engine_.demand_rate();
+    obs.class_demand = engine_.class_demand_rates();
+    obs.recent_violation_ratio = engine_.recent_violation_ratio();
+    obs.cache_enabled = engine_.cache_enabled();
+    obs.cache = engine_.cache_stats();
+    obs.stages.reserve(engine_.stage_count());
+    for (std::size_t s = 0; s < engine_.stage_count(); ++s)
+      obs.stages.push_back(engine_.stage_stats(s));
+    return obs;
+  }
+
+  void apply(const engine::AllocationPlan& plan) override {
+    engine_.apply(plan);
+  }
+
+ private:
+  engine::CascadeEngine& engine_;
+};
 
 }  // namespace
 
@@ -24,7 +46,18 @@ Controller::Controller(
     engine::CascadeEngine& engine, std::unique_ptr<Allocator> allocator,
     std::vector<discriminator::DeferralProfile> offline_profiles,
     ControllerConfig cfg)
-    : engine_(engine),
+    : Controller(std::make_unique<EnginePlane>(engine), std::move(allocator),
+                 std::move(offline_profiles), cfg) {
+  engine.set_confidence_observer([this](std::size_t boundary, double c) {
+    observe_confidence(boundary, c);
+  });
+}
+
+Controller::Controller(
+    std::unique_ptr<ServingPlane> plane, std::unique_ptr<Allocator> allocator,
+    std::vector<discriminator::DeferralProfile> offline_profiles,
+    ControllerConfig cfg)
+    : plane_(std::move(plane)),
       allocator_(std::move(allocator)),
       cfg_(cfg),
       demand_holt_(cfg.ewma_alpha, cfg.trend_beta),
@@ -36,34 +69,27 @@ Controller::Controller(
       cache_far_share_ewma_(cfg.cache_alpha),
       cache_near_frac_ewma_(cfg.cache_alpha),
       cache_far_frac_ewma_(cfg.cache_alpha) {
+  DS_REQUIRE(plane_ != nullptr, "controller needs a serving plane");
   DS_REQUIRE(allocator_ != nullptr, "controller needs an allocator");
   DS_REQUIRE(cfg_.period_seconds > 0.0, "control period must be positive");
-  DS_REQUIRE(offline_profiles.size() == engine_.boundary_count(),
+  DS_REQUIRE(offline_profiles.size() == plane_->reference().boundary_count(),
              "need one offline deferral profile per cascade boundary");
   profiles_.reserve(offline_profiles.size());
   for (auto& p : offline_profiles)
     profiles_.emplace_back(std::move(p), cfg_.online_profile_capacity);
-  // Feed every data-path confidence into its boundary's online profile.
-  engine_.set_confidence_observer([this](std::size_t boundary, double c) {
-    util::MutexLock lock(profile_mu_);
-    profiles_[boundary].observe(c);
-  });
 }
 
-Controller::Controller(engine::CascadeEngine& engine,
-                       std::unique_ptr<Allocator> allocator,
-                       discriminator::DeferralProfile offline_profile,
-                       ControllerConfig cfg)
-    : Controller(engine, std::move(allocator),
-                 replicate_profile(std::move(offline_profile),
-                                   engine.boundary_count()),
-                 cfg) {}
+void Controller::observe_confidence(std::size_t boundary, double confidence) {
+  util::MutexLock lock(profile_mu_);
+  DS_REQUIRE(boundary < profiles_.size(), "confidence for unknown boundary");
+  profiles_[boundary].observe(confidence);
+}
 
 void Controller::start() {
   if (cfg_.initial_demand_guess > 0.0)
     demand_holt_.observe(cfg_.initial_demand_guess);
   running_.store(true);
-  next_tick_time_ = engine_.backend().now();
+  next_tick_time_ = backend().now();
   tick();  // provision immediately rather than serving blind for a period
   schedule_next_tick();
 }
@@ -71,7 +97,7 @@ void Controller::start() {
 void Controller::stop() {
   running_.store(false);
   util::MutexLock lock(tick_mu_);
-  if (tick_handle_.valid()) engine_.backend().cancel(tick_handle_);
+  if (tick_handle_.valid()) backend().cancel(tick_handle_);
   tick_handle_ = {};
 }
 
@@ -80,14 +106,14 @@ void Controller::schedule_next_tick() {
   // stretch the control period on wall-clock backends (the DES executes
   // ticks in zero simulated time, so both backends tick at t0 + k*period).
   next_tick_time_ += cfg_.period_seconds;
-  const double delay = next_tick_time_ - engine_.backend().now();
-  const auto handle = engine_.backend().defer(delay, [this] {
+  const double delay = next_tick_time_ - backend().now();
+  const auto handle = backend().defer(delay, [this] {
     if (!running_.load()) return;
     // The tick (and its allocator solve, potentially a slow MILP) runs
     // through offload() so a concurrent backend's timer thread is never
     // blocked — batch-launch timers keep firing during the solve. On
     // single-threaded backends offload is a synchronous call.
-    engine_.backend().offload([this] {
+    backend().offload([this] {
       if (!running_.load()) return;
       tick();
       schedule_next_tick();
@@ -97,43 +123,54 @@ void Controller::schedule_next_tick() {
   tick_handle_ = handle;
 }
 
-AllocationInput Controller::snapshot_input() const {
-  const std::size_t n = engine_.stage_count();
+void Controller::tick() {
+  const double gather_delay = plane_->request_observation();
+  if (gather_delay <= 0.0) {
+    // The observation is already in — solve on statistics taken at this
+    // very instant.
+    solve();
+    return;
+  }
+  backend().defer(gather_delay, [this] {
+    if (!running_.load()) return;
+    backend().offload([this] {
+      if (running_.load()) solve();
+    });
+  });
+}
+
+AllocationInput Controller::allocation_input(const Observation& obs) const {
+  const engine::CascadeEngine& ref = plane_->reference();
+  const std::size_t n = ref.stage_count();
+  DS_REQUIRE(obs.stages.size() == n, "observation needs one entry per stage");
   AllocationInput in;
   in.stages.assign(n, {});
-  in.boundary_grids.assign(engine_.boundary_count(), {});
+  in.boundary_grids.assign(ref.boundary_count(), {});
   // Forecast past the observation + actuation lag so ramps are covered.
   in.demand_qps = demand_holt_.forecast(cfg_.forecast_horizon_periods);
   in.over_provision = cfg_.over_provision;
-  in.slo_seconds = engine_.config().slo_seconds;
-  in.total_workers = engine_.config().total_workers;
-  in.recent_violation_ratio = engine_.recent_violation_ratio();
+  in.slo_seconds = plane_->slo_seconds();
+  in.total_workers = plane_->total_workers();
+  in.recent_violation_ratio = obs.recent_violation_ratio;
 
-  // SLO-class objective: hand the allocator the per-class demand vector
-  // and fold the weighted per-class deadlines into one *effective* SLO —
-  // the weighted *harmonic* mean of the class deadlines (weights =
-  // slo_weight x observed demand), so every allocator provisions against
-  // the tiered objective without per-allocator changes. Harmonic, not
-  // arithmetic: tight classes must dominate the blend — an arithmetic
-  // mean lets a large batch share dilate the target past the standard
-  // class's deadline and wreck it, while harmonically the loose batch
-  // deadline only relaxes the target when nothing tighter has demand.
-  // Classless (or not-yet-observed) inputs keep the engine SLO,
-  // byte-identical to the pre-class controller.
-  const auto& sc = engine_.config().slo_classes;
+  // SLO-class objective: fold the weighted per-class deadlines into one
+  // *effective* SLO — the weighted *harmonic* mean of the class deadlines
+  // (weights = slo_weight x observed demand), so every allocator
+  // provisions against the tiered objective without per-allocator
+  // changes. Harmonic, not arithmetic: tight classes must dominate the
+  // blend — an arithmetic mean lets a large batch share dilate the target
+  // past the standard class's deadline and wreck it, while harmonically
+  // the loose batch deadline only relaxes the target when nothing tighter
+  // has demand. Classless (or not-yet-observed) inputs keep the plane's
+  // SLO, byte-identical to the pre-class controller.
+  const auto& sc = ref.config().slo_classes;
   if (sc.enabled) {
-    in.class_demand_qps.assign(engine::kQueryClassCount, 0.0);
-    in.class_slo_weights.assign(engine::kQueryClassCount, 0.0);
     double weight_sum = 0.0;
     double inverse_slo = 0.0;
     for (std::size_t c = 0; c < engine::kQueryClassCount; ++c) {
-      const double d = class_demand_ewma_[c].value();
-      in.class_demand_qps[c] = d;
-      in.class_slo_weights[c] = sc.slo_weight[c];
-      const double wc = sc.slo_weight[c] * d;
+      const double wc = sc.slo_weight[c] * class_demand_ewma_[c].value();
       weight_sum += wc;
-      inverse_slo +=
-          wc / (engine_.config().slo_seconds * sc.deadline_multiplier[c]);
+      inverse_slo += wc / (in.slo_seconds * sc.deadline_multiplier[c]);
     }
     if (sc.class_aware_scheduling && weight_sum > 0.0 && inverse_slo > 0.0)
       in.slo_seconds = weight_sum / inverse_slo;
@@ -149,15 +186,15 @@ AllocationInput Controller::snapshot_input() const {
 
   for (std::size_t s = 0; s < n; ++s) {
     auto& stage = in.stages[s];
-    const auto stats = engine_.stage_stats(s);
-    stage.queue_length = stats.total_queue_length;
-    stage.arrival_rate = stats.arrival_rate;
+    stage.queue_length = obs.stages[s].total_queue_length;
+    stage.arrival_rate = obs.stages[s].arrival_rate;
     stage.utilization_target = StageObs::default_utilization_target(s);
-    // Stage performance model from the engine's §3.3 latency math (single
-    // source of truth for both backends).
+    // Stage performance model from the reference engine's §3.3 latency
+    // math (single source of truth for both backends; a cluster's shards
+    // are homogeneous replicas, so any one stands in for all).
     std::map<int, double> lat;
     for (const int b : models::standard_batch_sizes())
-      lat[b] = engine_.stage_exec_latency(s, b) * service_discount;
+      lat[b] = ref.stage_exec_latency(s, b) * service_discount;
     stage.perf =
         StagePerfModel(models::LatencyProfile(std::move(lat)), nullptr);
   }
@@ -171,22 +208,20 @@ AllocationInput Controller::snapshot_input() const {
 }
 
 double Controller::effective_exact_hit_ratio() const {
-  if (!cfg_.cache_aware || !engine_.cache_enabled()) return 0.0;
+  if (!cache_on()) return 0.0;
   return std::min(0.95, cache_hit_ewma_.value());
 }
 
 double Controller::effective_near_hit_ratio() const {
-  if (!cfg_.cache_aware || !engine_.cache_enabled()) return 0.0;
-  return cache_near_share_ewma_.value();
+  return cache_on() ? cache_near_share_ewma_.value() : 0.0;
 }
 
 double Controller::effective_far_hit_ratio() const {
-  if (!cfg_.cache_aware || !engine_.cache_enabled()) return 0.0;
-  return cache_far_share_ewma_.value();
+  return cache_on() ? cache_far_share_ewma_.value() : 0.0;
 }
 
 double Controller::effective_service_discount() const {
-  if (!cfg_.cache_aware || !engine_.cache_enabled()) return 1.0;
+  if (!cache_on()) return 1.0;
   // Each hit level contributes its own smoothed share x smoothed savings
   // (1 - mean step fraction): with interpolated fractions the near and
   // far means drift apart, and one pooled mean would misattribute the
@@ -201,9 +236,10 @@ double Controller::effective_service_discount() const {
   return std::min(1.0, std::max(discount, 0.05));
 }
 
-void Controller::observe_cache() {
-  if (!cfg_.cache_aware || !engine_.cache_enabled()) return;
-  const auto stats = engine_.cache_stats();
+void Controller::observe_cache(const Observation& obs) {
+  if (obs.cache_enabled) cache_seen_enabled_ = true;
+  if (!cache_on()) return;
+  const cache::CacheStats& stats = obs.cache;
   const std::uint64_t lookups = stats.lookups - last_cache_stats_.lookups;
   if (lookups > 0) {
     const std::uint64_t exact =
@@ -234,28 +270,33 @@ void Controller::observe_cache() {
   last_cache_stats_ = stats;
 }
 
-void Controller::tick() {
-  const double now = engine_.backend().now();
-  const double observed = engine_.demand_rate();
+void Controller::solve() {
+  const double now = backend().now();
+  const Observation obs = plane_->observe();
   // The first tick fires before any arrivals; folding its empty-window
   // observation into the estimate would decay the initial demand guess
   // (and, on a wall-clock backend, `now` is never exactly 0).
   if (!first_tick_) {
-    demand_holt_.observe(observed);
-    if (engine_.config().slo_classes.enabled) {
-      const auto class_rates = engine_.class_demand_rates();
+    demand_holt_.observe(obs.demand_rate);
+    if (plane_->reference().config().slo_classes.enabled)
       for (std::size_t c = 0; c < engine::kQueryClassCount; ++c)
-        class_demand_ewma_[c].observe(class_rates[c]);
-    }
+        class_demand_ewma_[c].observe(obs.class_demand[c]);
   }
   first_tick_ = false;
-  observe_cache();
+  observe_cache(obs);
 
-  const AllocationInput in = snapshot_input();
+  const AllocationInput in = allocation_input(obs);
   const AllocationDecision d = allocator_->allocate(in);
-  apply_decision(d);
+  engine::AllocationPlan plan;
+  plan.mode = d.direct_mode ? engine::RoutingMode::kDirect
+                            : engine::RoutingMode::kCascade;
+  plan.workers = d.workers;
+  plan.batches = d.batches;
+  plan.thresholds = d.thresholds;
+  plan.p_heavy = d.p_heavy;
+  plane_->apply(plan);
 
-  history_.push_back({now, in.demand_qps, observed,
+  history_.push_back({now, in.demand_qps, obs.demand_rate,
                       in.recent_violation_ratio,
                       effective_exact_hit_ratio(),
                       effective_near_hit_ratio(),
@@ -270,17 +311,6 @@ void Controller::tick() {
       << " x0=" << d.workers.front() << " x_last=" << d.workers.back()
       << " b0=" << d.batches.front() << " b_last=" << d.batches.back()
       << (d.feasible ? "" : " (overload)");
-}
-
-void Controller::apply_decision(const AllocationDecision& d) {
-  engine::AllocationPlan plan;
-  plan.mode = d.direct_mode ? engine::RoutingMode::kDirect
-                            : engine::RoutingMode::kCascade;
-  plan.workers = d.workers;
-  plan.batches = d.batches;
-  plan.thresholds = d.thresholds;
-  plan.p_heavy = d.p_heavy;
-  engine_.apply(plan);
 }
 
 }  // namespace diffserve::control

@@ -46,19 +46,6 @@ CascadeEngine::CascadeEngine(
     workers_[i].id = static_cast<int>(i);
 }
 
-CascadeEngine::CascadeEngine(ExecutionBackend& backend,
-                             const quality::Workload& workload,
-                             const models::ModelRepository& repo,
-                             const models::CascadeSpec& cascade,
-                             const discriminator::Discriminator* disc,
-                             const quality::FidScorer& scorer,
-                             EngineConfig cfg)
-    : CascadeEngine(backend, workload, repo, cascade,
-                    std::vector<const discriminator::Discriminator*>(
-                        cascade.chain.empty() ? 0 : cascade.boundary_count(),
-                        disc),
-                    scorer, cfg) {}
-
 double CascadeEngine::stage_exec_latency(std::size_t s, int batch) const {
   double e = repo_.model(chain_[s]).latency.execution_latency(batch);
   if (s + 1 < chain_.size())
@@ -239,22 +226,28 @@ AllocationPlan CascadeEngine::plan() const {
 
 // ---- admission & routing --------------------------------------------------
 
-Query CascadeEngine::submit_next() {
-  auto g = backend_.guard();
+Query admit_query(std::uint64_t seq, double now, trace::PromptSampler& sampler,
+                  double slo_seconds, const SloClassConfig& slo_classes) {
   Query q;
-  q.seq = next_seq_++;
+  q.seq = seq;
   // Round-robin (the default) reproduces the historical seq % size
   // cycling exactly; kZipf draws from the popularity model.
-  q.prompt_id = static_cast<quality::QueryId>(prompt_sampler_.next());
-  q.arrival_time = backend_.now();
-  q.deadline = q.arrival_time + cfg_.slo_seconds;
-  if (cfg_.slo_classes.enabled) {
+  q.prompt_id = static_cast<quality::QueryId>(sampler.next());
+  q.arrival_time = now;
+  q.deadline = now + slo_seconds;
+  if (slo_classes.enabled) {
     // The class stream rides the sampler's dedicated class RNG, never the
     // engine rng_ (whose draw sequence the kDirect bernoulli depends on).
-    q.query_class = static_cast<QueryClass>(prompt_sampler_.next_class());
-    q.deadline = q.arrival_time +
-                 cfg_.slo_seconds * cfg_.slo_classes.multiplier(q.query_class);
+    q.query_class = static_cast<QueryClass>(sampler.next_class());
+    q.deadline = now + slo_seconds * slo_classes.multiplier(q.query_class);
   }
+  return q;
+}
+
+Query CascadeEngine::submit_next() {
+  auto g = backend_.guard();
+  Query q = admit_query(next_seq_++, backend_.now(), prompt_sampler_,
+                        cfg_.slo_seconds, cfg_.slo_classes);
   submit_locked(q);
   return q;
 }
@@ -852,7 +845,6 @@ CascadeEngine::WorkerInfo CascadeEngine::worker_info(std::size_t i) const {
   WorkerInfo info;
   info.configured = w.configured;
   info.stage = w.stage;
-  info.heavy = w.stage == static_cast<int>(chain_.size()) - 1;
   info.busy = w.busy;
   info.batch_size = w.batch_size;
   info.queue_length = w.queue_size();

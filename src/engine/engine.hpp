@@ -63,6 +63,14 @@ struct PoolStats {
   int workers = 0;
 };
 
+/// Query admission: the query arriving at `now` with sequence number
+/// `seq`, its prompt (and, with SLO classes on, its class) drawn from
+/// `sampler`, and its per-class deadline. The engine and the shard
+/// frontend both admit through this, which is what keeps a 1-shard
+/// cluster decision-identical to the bare engine.
+Query admit_query(std::uint64_t seq, double now, trace::PromptSampler& sampler,
+                  double slo_seconds, const SloClassConfig& slo_classes);
+
 class CascadeEngine {
  public:
   /// Per-boundary discriminators: discs[b] gates deferral from stage b to
@@ -72,13 +80,6 @@ class CascadeEngine {
                 const models::ModelRepository& repo,
                 const models::CascadeSpec& cascade,
                 std::vector<const discriminator::Discriminator*> discs,
-                const quality::FidScorer& scorer, EngineConfig cfg);
-  /// Two-stage-era convenience: one discriminator replicated across every
-  /// boundary (exactly one boundary in a classic cascade).
-  CascadeEngine(ExecutionBackend& backend, const quality::Workload& workload,
-                const models::ModelRepository& repo,
-                const models::CascadeSpec& cascade,
-                const discriminator::Discriminator* disc,
                 const quality::FidScorer& scorer, EngineConfig cfg);
 
   /// Reconfigure the cluster; evicted queries are re-routed (never
@@ -161,7 +162,6 @@ class CascadeEngine {
   struct WorkerInfo {
     bool configured = false;
     int stage = -1;  ///< hosted stage index, -1 while unconfigured
-    bool heavy = false;  ///< hosts the final (heaviest) stage
     bool busy = false;
     int batch_size = 0;
     std::size_t queue_length = 0;

@@ -46,20 +46,20 @@ void pivot(Tableau& t, std::size_t row, std::size_t col) {
 // Returns (reduced costs, objective value).
 std::pair<std::vector<double>, double> reduced_costs(
     const Tableau& t, const std::vector<double>& obj) {
-  std::vector<double> rc(t.n);
+  // rc holds z_j until the last loop. Row-major accumulation walks each
+  // tableau row contiguously; every z_j still sums its terms in row order,
+  // so the result is bit-identical to the column-by-column sum.
+  std::vector<double> rc(t.n, 0.0);
   double z = 0.0;
-  // y_i = objective coefficient of the basic variable in row i.
-  std::vector<double> y(t.m);
   for (std::size_t i = 0; i < t.m; ++i) {
-    y[i] = obj[t.basis[i]];
-    z += y[i] * t.a[i][t.n];
+    // y_i = objective coefficient of the basic variable in row i.
+    const double y = obj[t.basis[i]];
+    z += y * t.a[i][t.n];
+    if (y == 0.0) continue;
+    const double* row = t.a[i].data();
+    for (std::size_t j = 0; j < t.n; ++j) rc[j] += y * row[j];
   }
-  for (std::size_t j = 0; j < t.n; ++j) {
-    double zj = 0.0;
-    for (std::size_t i = 0; i < t.m; ++i)
-      if (y[i] != 0.0) zj += y[i] * t.a[i][j];
-    rc[j] = zj - obj[j];
-  }
+  for (std::size_t j = 0; j < t.n; ++j) rc[j] -= obj[j];
   return {std::move(rc), z};
 }
 

@@ -12,17 +12,6 @@ ServingSystem::ServingSystem(
       engine_(backend_, workload, repo, cascade, std::move(discs), scorer,
               cfg) {}
 
-ServingSystem::ServingSystem(sim::Simulation& sim,
-                             const quality::Workload& workload,
-                             const models::ModelRepository& repo,
-                             const models::CascadeSpec& cascade,
-                             const discriminator::Discriminator* disc,
-                             const quality::FidScorer& scorer,
-                             SystemConfig cfg)
-    : sim_(sim),
-      backend_(sim),
-      engine_(backend_, workload, repo, cascade, disc, scorer, cfg) {}
-
 void ServingSystem::inject_arrivals(const std::vector<double>& times) {
   // The arrival count bounds the terminal-event count; pre-sizing the
   // sink's record log keeps it from reallocating mid-run.

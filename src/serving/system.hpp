@@ -63,12 +63,6 @@ class ServingSystem {
                 const models::CascadeSpec& cascade,
                 std::vector<const discriminator::Discriminator*> discs,
                 const quality::FidScorer& scorer, SystemConfig cfg);
-  /// Two-stage-era convenience: one discriminator for every boundary.
-  ServingSystem(sim::Simulation& sim, const quality::Workload& workload,
-                const models::ModelRepository& repo,
-                const models::CascadeSpec& cascade,
-                const discriminator::Discriminator* disc,
-                const quality::FidScorer& scorer, SystemConfig cfg);
 
   engine::CascadeEngine& engine() { return engine_; }
   const engine::CascadeEngine& engine() const { return engine_; }

@@ -86,6 +86,12 @@ class ChainFixture : public ::testing::Test {
   static const models::CascadeSpec& chain(std::size_t depth) {
     return repo_->cascade("chain" + std::to_string(depth));
   }
+  /// The shared discriminator at every boundary of `spec`.
+  static std::vector<const discriminator::Discriminator*> discs(
+      const models::CascadeSpec& spec) {
+    return std::vector<const discriminator::Discriminator*>(
+        spec.boundary_count(), disc_);
+  }
 
   /// A random plan for `depth` stages over `total` workers. May leave
   /// stages (or everything) unstaffed — the engine's spare rule and
@@ -198,7 +204,7 @@ TEST_F(ChainFixture, RandomizedInvariantsOnDesBackend) {
     cfg.model_load_delay = sc.load_delay;
     cfg.seed = seed;
     serving::ServingSystem system(sim, *workload_, *repo_, chain(sc.depth),
-                                  disc_, *scorer_, cfg);
+                                  discs(chain(sc.depth)), *scorer_, cfg);
 
     for (const auto& timed_plan : sc.plans)
       sim.schedule_at(timed_plan.first, [&system, p = timed_plan.second] {
@@ -239,8 +245,8 @@ TEST_F(ChainFixture, RandomizedInvariantsOnThreadedBackend) {
     cfg.model_load_delay = sc.load_delay;
     cfg.launch_slack_seconds = 0.004 * 200.0;
     cfg.seed = seed;
-    CascadeEngine eng(backend, *workload_, *repo_, chain(sc.depth), disc_,
-                      *scorer_, cfg);
+    CascadeEngine eng(backend, *workload_, *repo_, chain(sc.depth),
+                      discs(chain(sc.depth)), *scorer_, cfg);
     backend.start();
 
     // Replay the merged (plan, arrival) timeline in compressed wall time.
@@ -338,7 +344,7 @@ TEST_F(ChainFixture, RandomizedClassedInvariantsOnDesBackend) {
     cfg.slo_classes = classes;
     cfg.prompt_mix = random_class_mix(rng);
     serving::ServingSystem system(sim, *workload_, *repo_, chain(sc.depth),
-                                  disc_, *scorer_, cfg);
+                                  discs(chain(sc.depth)), *scorer_, cfg);
 
     for (const auto& timed_plan : sc.plans)
       sim.schedule_at(timed_plan.first,
@@ -394,8 +400,8 @@ TEST_F(ChainFixture, RandomizedClassedInvariantsOnThreadedBackend) {
     cfg.seed = seed;
     cfg.slo_classes = random_classes(rng);
     cfg.prompt_mix = random_class_mix(rng);
-    CascadeEngine eng(backend, *workload_, *repo_, chain(sc.depth), disc_,
-                      *scorer_, cfg);
+    CascadeEngine eng(backend, *workload_, *repo_, chain(sc.depth),
+                      discs(chain(sc.depth)), *scorer_, cfg);
     backend.start();
 
     std::size_t ai = 0, pi = 0;
@@ -454,8 +460,8 @@ TEST_F(ChainFixture, RandomizedShardedClassPreservedAcrossWire) {
       cfg.seed = seed * 16 + static_cast<std::size_t>(s);
       cfg.slo_classes = classes;
       engines.push_back(std::make_unique<CascadeEngine>(
-          backend, *workload_, *repo_, chain(sc.depth), disc_, *scorer_,
-          cfg));
+          backend, *workload_, *repo_, chain(sc.depth),
+          discs(chain(sc.depth)), *scorer_, cfg));
     }
 
     cluster::FrontendConfig fcfg;
@@ -567,8 +573,8 @@ TEST_F(ChainFixture, RandomizedShardedInvariantsOnDesBackend) {
       cfg.model_load_delay = sc.load_delay;
       cfg.seed = seed * 16 + static_cast<std::size_t>(s);
       engines.push_back(std::make_unique<CascadeEngine>(
-          backend, *workload_, *repo_, chain(sc.depth), disc_, *scorer_,
-          cfg));
+          backend, *workload_, *repo_, chain(sc.depth),
+          discs(chain(sc.depth)), *scorer_, cfg));
     }
 
     cluster::FrontendConfig fcfg;
@@ -656,8 +662,8 @@ TEST_F(ChainFixture, RandomizedShardedInvariantsOnThreadedBackend) {
       cfg.launch_slack_seconds = 0.004 * time_scale;
       cfg.seed = seed * 16 + static_cast<std::size_t>(s);
       engines.push_back(std::make_unique<CascadeEngine>(
-          *backends.back(), *workload_, *repo_, chain(sc.depth), disc_,
-          *scorer_, cfg));
+          *backends.back(), *workload_, *repo_, chain(sc.depth),
+          discs(chain(sc.depth)), *scorer_, cfg));
     }
 
     cluster::FrontendConfig fcfg;
@@ -736,8 +742,8 @@ TEST_F(ChainFixture, ShrinkingMiddleStageReroutesItsQueue) {
   cfg.total_workers = 4;
   cfg.slo_seconds = 30.0;
   cfg.model_load_delay = 0.5;
-  serving::ServingSystem system(sim, *workload_, *repo_, chain(3), disc_,
-                                *scorer_, cfg);
+  serving::ServingSystem system(sim, *workload_, *repo_, chain(3),
+                                discs(chain(3)), *scorer_, cfg);
 
   AllocationPlan a = AllocationPlan::for_stages(3);
   a.workers = {2, 1, 1};
@@ -803,7 +809,7 @@ TEST_F(ChainFixture, StageSwapWithSharedModelEvictsQueue) {
   cfg.slo_seconds = 60.0;
   cfg.model_load_delay = 0.0;
   serving::ServingSystem system(sim, *workload_, repo, repo.cascade("self"),
-                                disc_, *scorer_, cfg);
+                                discs(repo.cascade("self")), *scorer_, cfg);
 
   AllocationPlan a = AllocationPlan::for_stages(2);
   a.workers = {2, 0};
@@ -836,8 +842,8 @@ TEST_F(ChainFixture, ShrinkingTailStagesServesDeferralsBestEffort) {
   cfg.total_workers = 3;
   cfg.slo_seconds = 30.0;
   cfg.model_load_delay = 0.2;
-  serving::ServingSystem system(sim, *workload_, *repo_, chain(3), disc_,
-                                *scorer_, cfg);
+  serving::ServingSystem system(sim, *workload_, *repo_, chain(3),
+                                discs(chain(3)), *scorer_, cfg);
 
   AllocationPlan a = AllocationPlan::for_stages(3);
   a.workers = {1, 1, 1};

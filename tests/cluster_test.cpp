@@ -40,27 +40,61 @@ TEST(ClusterEquivalence, OneShardLoopbackMatchesBareEngineExactly) {
   // shard node dispatch, cluster controller, plan split — must be
   // decision-invisible at N=1 over synchronous loopback: the report,
   // control history included, reproduces the bare-engine run *exactly*,
-  // not approximately.
+  // not approximately. Classless, with the reuse cache on (Zipf prompts),
+  // and with SLO classes on.
   const auto tr = trace::RateTrace::azure_like(2.0, 8.0, 80.0, 7);
 
-  core::RunConfig rc;
-  rc.approach = core::Approach::kDiffServeExhaustive;
-  rc.total_workers = 6;
-  rc.trace = tr;
-  // The cluster controller derives its initial guess from the trace.
-  rc.controller.initial_demand_guess = tr.qps_at(0.0);
-  const auto bare = core::run_experiment(shared_env(), rc);
+  struct Input {
+    const char* name;
+    cache::CacheConfig cache;
+    trace::PromptMixConfig prompt_mix;
+    engine::SloClassConfig slo_classes;
+  };
+  Input classless{"classless", {}, {}, {}};
+  Input cached = classless;
+  cached.name = "cache on";
+  cached.cache.enabled = true;
+  cached.cache.capacity = 128;
+  cached.prompt_mix.kind = trace::PromptMixConfig::Kind::kZipf;
+  Input classed = classless;
+  classed.name = "classes on";
+  classed.slo_classes.enabled = true;
+  classed.prompt_mix.interactive_share = 0.2;
+  classed.prompt_mix.batch_share = 0.2;
 
-  control::ExhaustiveAllocator alloc;
-  ClusterRunConfig cc;
-  cc.shards = 1;
-  cc.workers_per_shard = 6;
-  cc.hop_latency_seconds = 0.0;
-  cc.gather_delay_seconds = 0.0;
-  const auto cluster = run_cluster_des(shared_env(), alloc, tr, cc);
+  for (const Input& in : {classless, cached, classed}) {
+    SCOPED_TRACE(in.name);
+    core::RunConfig rc;
+    rc.approach = core::Approach::kDiffServeExhaustive;
+    rc.total_workers = 6;
+    rc.trace = tr;
+    // The cluster controller derives its initial guess from the trace.
+    rc.controller.initial_demand_guess = tr.qps_at(0.0);
+    rc.system.cache = in.cache;
+    rc.system.prompt_mix = in.prompt_mix;
+    rc.system.slo_classes = in.slo_classes;
+    const auto bare = core::run_experiment(shared_env(), rc);
 
-  EXPECT_EQ(cluster, bare);
-  EXPECT_EQ(cluster.reconfigurations, bare.reconfigurations);
+    control::ExhaustiveAllocator alloc;
+    ClusterRunConfig cc;
+    cc.shards = 1;
+    cc.workers_per_shard = 6;
+    cc.hop_latency_seconds = 0.0;
+    cc.gather_delay_seconds = 0.0;
+    cc.cache = in.cache;
+    cc.prompt_mix = in.prompt_mix;
+    cc.slo_classes = in.slo_classes;
+    const auto cluster = run_cluster_des(shared_env(), alloc, tr, cc);
+
+    EXPECT_EQ(cluster, bare);
+    EXPECT_EQ(cluster.reconfigurations, bare.reconfigurations);
+    // Each input really drives its feature through the control loop.
+    ASSERT_FALSE(bare.control_history.empty());
+    const auto& last = bare.control_history.back();
+    if (in.cache.enabled) EXPECT_GT(last.cache_exact_hit_ratio, 0.0);
+    if (in.slo_classes.enabled)
+      EXPECT_LT(last.effective_slo_seconds, shared_env().default_slo());
+  }
 }
 
 TEST(ClusterEquivalence, DesRunsAreDeterministic) {
@@ -273,14 +307,12 @@ TEST(Frontend, TerminalFramesDriveSinkAndDrainState) {
 
 // ---- split_plan --------------------------------------------------------------------
 
-control::AllocationDecision sample_decision() {
-  control::AllocationDecision d;
-  d.feasible = true;
-  d.workers = {6, 3};
-  d.batches = {8, 2};
-  d.thresholds = {0.7};
-  d.deferral_fractions = {0.3};
-  return d;
+engine::AllocationPlan sample_plan() {
+  engine::AllocationPlan p;
+  p.workers = {6, 3};
+  p.batches = {8, 2};
+  p.thresholds = {0.7};
+  return p;
 }
 
 // ---- wire-format drift guards: SLO class field -----------------------------------
@@ -356,53 +388,53 @@ TEST(Wire, FramesWithoutClassFieldsAreRejected) {
 }
 
 TEST(SplitPlan, SingleShardIsTheIdentity) {
-  const auto d = sample_decision();
-  const auto plans = ClusterController::split_plan(d, {5.0}, 16);
+  const auto global = sample_plan();
+  const auto plans = split_plan(global, {5.0}, 16);
   ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].workers, d.workers);
-  EXPECT_EQ(plans[0].batches, d.batches);
-  EXPECT_EQ(plans[0].thresholds, d.thresholds);
+  EXPECT_EQ(plans[0].workers, global.workers);
+  EXPECT_EQ(plans[0].batches, global.batches);
+  EXPECT_EQ(plans[0].thresholds, global.thresholds);
 }
 
 TEST(SplitPlan, ConservesWorkersAndRespectsCapacity) {
-  const auto d = sample_decision();  // 9 workers total
+  const auto global = sample_plan();  // 9 workers total
   const std::vector<double> demand = {3.0, 2.0, 1.0};
   const int cap = 4;
-  const auto plans = ClusterController::split_plan(d, demand, cap);
+  const auto plans = split_plan(global, demand, cap);
   ASSERT_EQ(plans.size(), 3u);
-  for (std::size_t stage = 0; stage < d.workers.size(); ++stage) {
+  for (std::size_t stage = 0; stage < global.workers.size(); ++stage) {
     int total = 0;
     for (const auto& p : plans) total += p.workers[stage];
-    EXPECT_EQ(total, d.workers[stage]) << "stage " << stage;
+    EXPECT_EQ(total, global.workers[stage]) << "stage " << stage;
   }
   for (const auto& p : plans) {
     int shard_total = 0;
     for (const int w : p.workers) shard_total += w;
     EXPECT_LE(shard_total, cap);
     // Batch sizes, thresholds, and mode replicate unchanged.
-    EXPECT_EQ(p.batches, d.batches);
-    EXPECT_EQ(p.thresholds, d.thresholds);
+    EXPECT_EQ(p.batches, global.batches);
+    EXPECT_EQ(p.thresholds, global.thresholds);
   }
 }
 
 TEST(SplitPlan, SkewedDemandShiftsWorkersButCapacityWins) {
-  control::AllocationDecision d = sample_decision();
-  d.workers = {5, 3};  // total 8 == 2 shards x cap 4
-  const auto plans = ClusterController::split_plan(d, {100.0, 0.0}, 4);
+  engine::AllocationPlan global = sample_plan();
+  global.workers = {5, 3};  // total 8 == 2 shards x cap 4
+  const auto plans = split_plan(global, {100.0, 0.0}, 4);
   ASSERT_EQ(plans.size(), 2u);
   // All demand on shard 0, but its 4-worker budget caps the grab; the
   // remainder must spill to shard 1 so the cluster total is conserved.
   for (std::size_t stage = 0; stage < 2; ++stage)
     EXPECT_EQ(plans[0].workers[stage] + plans[1].workers[stage],
-              d.workers[stage]);
+              global.workers[stage]);
   EXPECT_EQ(plans[0].workers[0] + plans[0].workers[1], 4);
   EXPECT_EQ(plans[1].workers[0] + plans[1].workers[1], 4);
 }
 
 TEST(SplitPlan, ZeroDemandSplitsEqually) {
-  control::AllocationDecision d = sample_decision();
-  d.workers = {4, 2};
-  const auto plans = ClusterController::split_plan(d, {0.0, 0.0}, 8);
+  engine::AllocationPlan global = sample_plan();
+  global.workers = {4, 2};
+  const auto plans = split_plan(global, {0.0, 0.0}, 8);
   ASSERT_EQ(plans.size(), 2u);
   EXPECT_EQ(plans[0].workers[0], 2);
   EXPECT_EQ(plans[1].workers[0], 2);
@@ -411,10 +443,10 @@ TEST(SplitPlan, ZeroDemandSplitsEqually) {
 }
 
 TEST(SplitPlan, DeterministicForEqualShares) {
-  const auto d = sample_decision();
+  const auto global = sample_plan();
   const std::vector<double> demand = {1.0, 1.0, 1.0};
-  const auto a = ClusterController::split_plan(d, demand, 4);
-  const auto b = ClusterController::split_plan(d, demand, 4);
+  const auto a = split_plan(global, demand, 4);
+  const auto b = split_plan(global, demand, 4);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t s = 0; s < a.size(); ++s)
     EXPECT_EQ(a[s].workers, b[s].workers) << "shard " << s;

@@ -172,7 +172,7 @@ TEST(EngineReconfig, DesEvictionReroutesAndCountsOncePerPlan) {
   cfg.slo_seconds = 20.0;
   cfg.model_load_delay = 0.5;
   serving::ServingSystem system(sim, env.workload(), env.repository(),
-                                env.cascade(), &env.disc(), env.scorer(),
+                                env.cascade(), env.discs(), env.scorer(),
                                 cfg);
 
   serving::AllocationPlan a;

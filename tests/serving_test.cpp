@@ -55,9 +55,11 @@ class UnitHarness {
     cfg.total_workers = total_workers;
     cfg.slo_seconds = slo;
     cfg.model_load_delay = 0.0;
-    system_ = std::make_unique<ServingSystem>(sim_, workload_, repo_,
-                                              repo_.cascade("unit"), nullptr,
-                                              scorer_, cfg);
+    // Direct mode never defers: the one boundary needs no discriminator.
+    system_ = std::make_unique<ServingSystem>(
+        sim_, workload_, repo_, repo_.cascade("unit"),
+        std::vector<const discriminator::Discriminator*>{nullptr}, scorer_,
+        cfg);
   }
 
   void apply_direct(int light_batch) {
@@ -169,7 +171,7 @@ TEST_F(ServingIntegration, CascadeServesAndDefers) {
   cfg.slo_seconds = 5.0;
   cfg.model_load_delay = 0.1;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.mode = RoutingMode::kCascade;
@@ -202,7 +204,7 @@ TEST_F(ServingIntegration, ThresholdZeroServesEverythingLight) {
   cfg.slo_seconds = 5.0;
   cfg.model_load_delay = 0.1;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.workers[0] = 2;
@@ -226,7 +228,7 @@ TEST_F(ServingIntegration, DirectModeSplitsByProbability) {
   cfg.model_load_delay = 0.1;
   cfg.seed = 99;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.mode = RoutingMode::kDirect;
@@ -250,7 +252,7 @@ TEST_F(ServingIntegration, ReconfigurationPreservesQueries) {
   cfg.slo_seconds = 20.0;
   cfg.model_load_delay = 0.2;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.workers[0] = 3;
@@ -283,7 +285,7 @@ TEST_F(ServingIntegration, ThreeStageReconfigurationPreservesQueries) {
   cfg.slo_seconds = 25.0;
   cfg.model_load_delay = 0.2;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kChain3), disc_,
+                       repo_->cascade(models::catalog::kChain3), {disc_, disc_},
                        *scorer_, cfg);
   engine::AllocationPlan plan = engine::AllocationPlan::for_stages(3);
   plan.workers = {2, 1, 1};
@@ -343,7 +345,7 @@ TEST_F(ServingIntegration, PlanExceedingClusterRejected) {
   SystemConfig cfg;
   cfg.total_workers = 2;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.workers[0] = 2;
@@ -356,7 +358,7 @@ TEST_F(ServingIntegration, SparesJoinLightPool) {
   SystemConfig cfg;
   cfg.total_workers = 6;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   AllocationPlan plan;
   plan.workers[0] = 1;
@@ -379,7 +381,8 @@ TEST_F(ServingIntegration, FastModeMatchesRecordingModeAggregates) {
     cfg.record_terminal_events = record;
     auto system = std::make_unique<ServingSystem>(
         sim, *workload_, *repo_, repo_->cascade(models::catalog::kCascade1),
-        disc_, *scorer_, cfg);
+        std::vector<const discriminator::Discriminator*>{disc_}, *scorer_,
+        cfg);
     AllocationPlan plan;
     plan.workers[0] = 3;
     plan.workers[1] = 1;
@@ -418,7 +421,7 @@ TEST_F(ServingIntegration, ExecLatencyIncludesDiscriminator) {
   SystemConfig cfg;
   cfg.total_workers = 2;
   ServingSystem system(sim, *workload_, *repo_,
-                       repo_->cascade(models::catalog::kCascade1), disc_,
+                       repo_->cascade(models::catalog::kCascade1), {disc_},
                        *scorer_, cfg);
   const auto& light =
       repo_->model(models::catalog::kSdTurbo).latency.execution_latency(1);

@@ -58,9 +58,11 @@ class ClassHarness {
     cfg.slo_seconds = 100.0;
     cfg.model_load_delay = 0.0;
     cfg.slo_classes = classes;
-    system_ = std::make_unique<ServingSystem>(sim_, workload_, repo_,
-                                              repo_.cascade("unit"), nullptr,
-                                              scorer_, cfg);
+    // Direct mode never defers: the one boundary needs no discriminator.
+    system_ = std::make_unique<ServingSystem>(
+        sim_, workload_, repo_, repo_.cascade("unit"),
+        std::vector<const discriminator::Discriminator*>{nullptr}, scorer_,
+        cfg);
     AllocationPlan plan;
     plan.mode = RoutingMode::kDirect;
     plan.workers[0] = 1;
