@@ -12,16 +12,24 @@
 //   the modelled GPU latency, is the limiter; reports sustained
 //   queries/sec.
 //
+// Part 3 (DES with records): the Part 1 trace again with per-query
+//   records on, followed by the quality reports a run ends with
+//   (overall_fid() and timeline(10.0), as core::run_experiment calls
+//   them); reports des.record_qps and des.record_over_fast, its ratio to
+//   the record-free (fast-mode) qps of the same trace in this process.
+//
 // Flags: --queries N (default 1e5), --smoke (enforce the CI floors and a
-// reduced N), --record (keep per-query terminal records, the invariant-
-// suite mode; default off here — the engine equivalence suites keep it on).
+// reduced N), --record (keep per-query terminal records in Part 1 and 2,
+// the invariant-suite mode; default off here — the engine equivalence
+// suites keep it on).
 //
 // The --smoke floors default to values sized for the reference dev box but
 // are overridable per machine, CLI taking precedence over environment:
 //   --floor-des-qps X        / DIFFSERVE_THROUGHPUT_FLOOR_DES_QPS
 //   --floor-des-events X     / DIFFSERVE_THROUGHPUT_FLOOR_DES_EVENTS
 //   --floor-threaded-qps X   / DIFFSERVE_THROUGHPUT_FLOOR_THREADED_QPS
-// (slow CI runners lower them; perf-tracking rigs raise them).
+// (slow CI runners lower them; perf-tracking rigs raise them). The
+// records-on ratio gate is an in-run ratio, so it needs no override.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -64,10 +72,14 @@ struct DesStats {
   double events_per_sec = 0.0;
   std::size_t completed = 0;
   std::size_t dropped = 0;
+  double fid = -1.0;  ///< overall FID when the quality reports ran
+  std::size_t timeline_windows = 0;
 };
 
+/// One DES pass. With `quality_reports` (which needs `record`) the timed
+/// span also covers the sink's end-of-run overall_fid() and timeline(10.0).
 DesStats run_des(const core::CascadeEnvironment& env, std::size_t queries,
-                 bool record) {
+                 bool record, bool quality_reports = false) {
   sim::Simulation sim;
   serving::SystemConfig cfg;
   cfg.total_workers = 16;
@@ -88,9 +100,13 @@ DesStats run_des(const core::CascadeEnvironment& env, std::size_t queries,
   WallTimer t;
   sim.run_until(duration + cfg.slo_seconds + 20.0);
   sim.run_all();
+  DesStats s;
+  if (quality_reports) {
+    s.fid = system.sink().overall_fid();
+    s.timeline_windows = system.sink().timeline(10.0).size();
+  }
   const double wall = t.seconds();
 
-  DesStats s;
   s.qps = static_cast<double>(arrivals.size()) / wall;
   s.events_per_sec = static_cast<double>(sim.executed()) / wall;
   s.completed = system.sink().completed();
@@ -204,6 +220,18 @@ int main(int argc, char** argv) {
 
   table.metric("des.queries", static_cast<double>(queries));
 
+  // Records on, plus the end-of-run quality reports, over the fast-mode
+  // qps of the same trace measured in this process.
+  const auto fast = record ? run_des(env, queries, false) : des;
+  const auto rec = run_des(env, queries, true, /*quality_reports=*/true);
+  const double record_over_fast = rec.qps / fast.qps;
+  std::printf("des with records + fid/timeline: %.0f qps (fid %.4f over "
+              "%zu timeline windows), %.3f of fast mode (%.0f qps)\n",
+              rec.qps, rec.fid, rec.timeline_windows, record_over_fast,
+              fast.qps);
+  table.metric("des.record_qps", rec.qps);
+  table.metric("des.record_over_fast", record_over_fast);
+
   if (smoke) {
     // Default floors sit ~7x under the measured dev-box rates (DES ~2.2e6
     // qps / ~3.2e6 events/s, threaded ~5.8e5 qps) but well above the
@@ -224,6 +252,16 @@ int main(int argc, char** argv) {
     if (thr.qps < floor_threaded_qps) {
       std::printf("[smoke] FAIL threaded qps %.0f < %.0f\n", thr.qps,
                   floor_threaded_qps);
+      ok = false;
+    }
+    // Half the ratio measured when the quality reports became single
+    // folds (0.27-0.34 over three smoke runs on a 4-core Xeon VM, gcc 12
+    // Release; 0.15-0.25 before): the records-on path, reports included,
+    // may not fall to half its speed relative to fast mode.
+    constexpr double kMinRecordOverFast = 0.15;
+    if (record_over_fast < kMinRecordOverFast) {
+      std::printf("[smoke] FAIL des records-on / fast qps %.3f < %.3f\n",
+                  record_over_fast, kMinRecordOverFast);
       ok = false;
     }
     if (!ok) return 1;

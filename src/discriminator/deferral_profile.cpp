@@ -12,7 +12,8 @@ DeferralProfile::DeferralProfile(std::vector<double> confidences)
   DS_REQUIRE(sorted_.size() >= 10, "too few samples for a deferral profile");
   for (double c : sorted_)
     DS_REQUIRE(c >= 0.0 && c <= 1.0, "confidence outside [0,1]");
-  std::sort(sorted_.begin(), sorted_.end());
+  if (!std::is_sorted(sorted_.begin(), sorted_.end()))
+    std::sort(sorted_.begin(), sorted_.end());
 }
 
 DeferralProfile DeferralProfile::profile(const quality::Workload& workload,
@@ -78,17 +79,59 @@ OnlineDeferralProfile::OnlineDeferralProfile(DeferralProfile offline,
 void OnlineDeferralProfile::observe(double confidence) {
   DS_REQUIRE(confidence >= 0.0 && confidence <= 1.0,
              "confidence outside [0,1]");
+  if (!resort_) {
+    if (count_ == ring_.size()) evicted_.push_back(ring_[head_]);
+    added_.push_back(confidence);
+    if (added_.size() + evicted_.size() >= ring_.size()) {
+      resort_ = true;
+      added_.clear();
+      evicted_.clear();
+    }
+  }
   ring_[head_] = confidence;
   head_ = (head_ + 1) % ring_.size();
   if (count_ < ring_.size()) ++count_;
 }
 
+void OnlineDeferralProfile::sync() const {
+  if (resort_) {
+    sorted_.assign(ring_.begin(),
+                   ring_.begin() + static_cast<std::ptrdiff_t>(count_));
+    std::sort(sorted_.begin(), sorted_.end());
+    resort_ = false;
+    return;
+  }
+  if (added_.empty() && evicted_.empty()) return;
+  std::sort(added_.begin(), added_.end());
+  std::sort(evicted_.begin(), evicted_.end());
+  // (sorted_ + added_) - evicted_ as multisets, in one ascending pass:
+  // every evicted value is in sorted_ or was added since the last sync.
+  std::vector<double> merged;
+  merged.reserve(count_);
+  auto s = sorted_.cbegin();
+  auto a = added_.cbegin();
+  auto e = evicted_.cbegin();
+  while (s != sorted_.cend() || a != added_.cend()) {
+    const bool take_sorted =
+        a == added_.cend() || (s != sorted_.cend() && *s <= *a);
+    const double v = take_sorted ? *s++ : *a++;
+    if (e != evicted_.cend() && *e == v) {
+      ++e;
+      continue;
+    }
+    merged.push_back(v);
+  }
+  DS_CHECK(e == evicted_.cend() && merged.size() == count_,
+           "deferral window lost track of its samples");
+  sorted_.swap(merged);
+  added_.clear();
+  evicted_.clear();
+}
+
 DeferralProfile OnlineDeferralProfile::current() const {
   if (count_ < min_samples_) return offline_;
-  std::vector<double> window(ring_.begin(),
-                             ring_.begin() + static_cast<std::ptrdiff_t>(
-                                                 std::min(count_, ring_.size())));
-  return DeferralProfile(std::move(window));
+  sync();
+  return DeferralProfile(sorted_);
 }
 
 double OnlineDeferralProfile::fraction_deferred(double threshold) const {

@@ -58,6 +58,14 @@ class DeferralProfile {
 
 /// Sliding-window deferral profile updated from live confidences during
 /// serving; falls back to the offline profile until enough samples arrive.
+///
+/// The window is kept sorted across reads: observe() logs the value it
+/// adds and the one it overwrites, and the next read sorts only those two
+/// logs and merges them into the kept sorted window in one linear pass
+/// (a full sort once the logs together reach the window's capacity). The
+/// window is the same multiset either way, so every read equals a fresh
+/// sort of the ring. Reads update that cache, so concurrent calls need
+/// external locking (the controller holds its profile mutex).
 class OnlineDeferralProfile {
  public:
   OnlineDeferralProfile(DeferralProfile offline, std::size_t window_capacity,
@@ -71,12 +79,21 @@ class OnlineDeferralProfile {
 
  private:
   DeferralProfile current() const;
+  /// Bring sorted_ up to the ring's contents.
+  void sync() const;
 
   DeferralProfile offline_;
   std::vector<double> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::size_t min_samples_;
+  /// The window in ascending order as of the last sync().
+  mutable std::vector<double> sorted_;
+  /// Values observed, and values overwritten in the ring, since then.
+  mutable std::vector<double> added_;
+  mutable std::vector<double> evicted_;
+  /// The logs outgrew the window: the next sync() sorts the ring whole.
+  mutable bool resort_ = false;
 };
 
 }  // namespace diffserve::discriminator

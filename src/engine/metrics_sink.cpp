@@ -1,6 +1,7 @@
 #include "engine/metrics_sink.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "linalg/gaussian.hpp"
 #include "util/check.hpp"
@@ -176,42 +177,64 @@ double MetricsSink::overall_fid() const {
   return scorer_.fid(acc.stats());
 }
 
+namespace {
+
+/// Index k of the window [k * w, (k + 1) * w) holding time t; times before
+/// the first window fall into it. floor(t / w) can land one off that test
+/// when the division rounds, so it is corrected against the products.
+std::size_t window_index(double t, double w) {
+  if (!(t >= w)) return 0;
+  auto k = static_cast<std::size_t>(std::floor(t / w));
+  while (k > 0 && t < static_cast<double>(k) * w) --k;
+  while (t >= static_cast<double>(k + 1) * w) ++k;
+  return k;
+}
+
+}  // namespace
+
 std::vector<MetricsSink::TimelinePoint> MetricsSink::timeline(
     double window_seconds, std::size_t min_fid_samples) const {
-  DS_REQUIRE(window_seconds > 0.0, "window must be positive");
   DS_REQUIRE(record_terminal_events_,
              "timeline needs per-query records (fast mode is on)");
-  std::vector<Record const*> sorted;
-  sorted.reserve(records_.size());
-  for (const auto& r : records_) sorted.push_back(&r);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Record* a, const Record* b) { return a->time < b->time; });
+  return timeline_of(records_, scorer_, window_seconds, min_fid_samples);
+}
+
+std::vector<MetricsSink::TimelinePoint> MetricsSink::timeline_of(
+    const std::vector<Record>& records, const quality::FidScorer& scorer,
+    double window_seconds, std::size_t min_fid_samples) {
+  DS_REQUIRE(window_seconds > 0.0, "window must be positive");
+  // One pass in record order: each record lands in its window's
+  // accumulator, so records out of time order need no sort.
+  struct Window {
+    explicit Window(std::size_t dim) : features(dim) {}
+    linalg::GaussianAccumulator features;
+    std::size_t samples = 0;
+    std::size_t violations = 0;
+  };
+  std::vector<Window> windows;
+  for (const auto& r : records) {
+    const std::size_t k = window_index(r.time, window_seconds);
+    while (windows.size() <= k) windows.emplace_back(scorer.feature_dim());
+    Window& w = windows[k];
+    ++w.samples;
+    if (r.violated) ++w.violations;
+    if (!r.feature.empty()) w.features.add(r.feature);
+  }
 
   std::vector<TimelinePoint> out;
-  if (sorted.empty()) return out;
-
-  const double end_time = sorted.back()->time;
-  std::size_t i = 0;
-  for (double w = 0.0; w <= end_time; w += window_seconds) {
-    const double hi = w + window_seconds;
-    linalg::GaussianAccumulator acc(scorer_.feature_dim());
-    std::size_t violations = 0, n = 0;
-    while (i < sorted.size() && sorted[i]->time < hi) {
-      const Record& r = *sorted[i];
-      ++n;
-      if (r.violated) ++violations;
-      if (!r.feature.empty()) acc.add(r.feature);
-      ++i;
-    }
+  out.reserve(windows.size());
+  const std::size_t min_fid = std::max<std::size_t>(min_fid_samples, 2);
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    const Window& w = windows[k];
     TimelinePoint pt;
-    pt.time = w;
-    pt.samples = n;
-    pt.throughput = static_cast<double>(n) / window_seconds;
-    pt.violation_ratio =
-        n ? static_cast<double>(violations) / static_cast<double>(n) : 0.0;
-    pt.fid = (acc.count() >= std::max<std::size_t>(min_fid_samples, 2))
-                 ? scorer_.fid(acc.stats())
-                 : -1.0;
+    pt.time = static_cast<double>(k) * window_seconds;
+    pt.samples = w.samples;
+    pt.throughput = static_cast<double>(w.samples) / window_seconds;
+    pt.violation_ratio = w.samples ? static_cast<double>(w.violations) /
+                                         static_cast<double>(w.samples)
+                                   : 0.0;
+    pt.fid = w.features.count() >= min_fid ? scorer.fid(w.features.stats())
+                                           : -1.0;
     out.push_back(pt);
   }
   return out;

@@ -9,6 +9,13 @@
 // time series for the Figure 5/8 timelines. Also the per-hit-level
 // completion counts and cache-path latency the cache suites assert on.
 //
+// Both quality reports are single folds over the record log: overall_fid()
+// feeds every served feature into one Gaussian accumulator, and timeline()
+// buckets each record by floor(time / window) into per-window accumulators
+// (no sort, so it holds for a record set in any order: timeline_of()).
+// Each FID is then one eigenvalue solve against the scorer's cached
+// reference root (quality/fid.hpp).
+//
 // Determinism requirement: aggregation is a pure fold over the terminal
 // event sequence (per-query records are kept for the invariant suites),
 // so identical event sequences give identical metrics on every backend;
@@ -120,8 +127,10 @@ class MetricsSink {
     double throughput;        ///< completions (incl. drops) per second
     std::size_t samples;
   };
-  /// Aggregate terminations into fixed windows. FID windows with fewer
-  /// than `min_fid_samples` images report fid = -1.
+  /// Aggregate terminations into the fixed windows [k * w, (k + 1) * w),
+  /// k = 0 up to the window of the latest record, in one pass over the
+  /// records in any order. FID windows with fewer than `min_fid_samples`
+  /// images report fid = -1.
   std::vector<TimelinePoint> timeline(double window_seconds,
                                       std::size_t min_fid_samples = 24) const;
 
@@ -141,6 +150,11 @@ class MetricsSink {
     std::vector<double> feature;  ///< empty for drops
   };
   const std::vector<Record>& records() const { return records_; }
+  /// timeline() of an explicit record set, in any order (the sink's own
+  /// log is in time order; a merged or filtered one need not be).
+  static std::vector<TimelinePoint> timeline_of(
+      const std::vector<Record>& records, const quality::FidScorer& scorer,
+      double window_seconds, std::size_t min_fid_samples = 24);
 
  private:
   const quality::Workload& workload_;

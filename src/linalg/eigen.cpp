@@ -8,19 +8,23 @@
 
 namespace diffserve::linalg {
 
-EigenDecomposition eigen_symmetric(const Matrix& a, double tol,
-                                   int max_sweeps) {
-  DS_REQUIRE(a.rows() == a.cols(), "eigendecomposition needs square input");
-  DS_REQUIRE(a.is_symmetric(1e-7), "eigendecomposition needs symmetric input");
-  const std::size_t n = a.rows();
+namespace {
 
-  Matrix d = a;                    // becomes diagonal
-  Matrix v = Matrix::identity(n);  // accumulates rotations
+/// Cyclic Jacobi sweeps that diagonalize `d` in place; when `v` is given
+/// it accumulates the rotations (its columns become the eigenvectors).
+/// Each rotation walks row pointers: the column updates touch entries p
+/// and q of every row, the row updates rows p and q whole.
+void jacobi_diagonalize(Matrix& d, Matrix* v, double tol, int max_sweeps) {
+  DS_REQUIRE(d.rows() == d.cols(), "eigendecomposition needs square input");
+  DS_REQUIRE(d.is_symmetric(1e-7), "eigendecomposition needs symmetric input");
+  const std::size_t n = d.rows();
 
   auto off_diagonal_norm = [&]() {
     double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j) s += d(i, j) * d(i, j);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* di = d.row(i);
+      for (std::size_t j = i + 1; j < n; ++j) s += di[j] * di[j];
+    }
     return std::sqrt(s);
   };
 
@@ -28,10 +32,12 @@ EigenDecomposition eigen_symmetric(const Matrix& a, double tol,
     if (off_diagonal_norm() <= tol) break;
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = d(p, q);
+        double* dp = d.row(p);
+        double* dq = d.row(q);
+        const double apq = dp[q];
         if (std::fabs(apq) < 1e-300) continue;
-        const double app = d(p, p);
-        const double aqq = d(q, q);
+        const double app = dp[p];
+        const double aqq = dq[q];
         const double theta = (aqq - app) / (2.0 * apq);
         const double t_val =
             (theta >= 0.0 ? 1.0 : -1.0) /
@@ -40,26 +46,39 @@ EigenDecomposition eigen_symmetric(const Matrix& a, double tol,
         const double s = t_val * c;
         // Apply rotation R(p, q, angle) on both sides of d.
         for (std::size_t k = 0; k < n; ++k) {
-          const double dkp = d(k, p);
-          const double dkq = d(k, q);
-          d(k, p) = c * dkp - s * dkq;
-          d(k, q) = s * dkp + c * dkq;
+          double* dk = d.row(k);
+          const double dkp = dk[p];
+          const double dkq = dk[q];
+          dk[p] = c * dkp - s * dkq;
+          dk[q] = s * dkp + c * dkq;
         }
         for (std::size_t k = 0; k < n; ++k) {
-          const double dpk = d(p, k);
-          const double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
+          const double dpk = dp[k];
+          const double dqk = dq[k];
+          dp[k] = c * dpk - s * dqk;
+          dq[k] = s * dpk + c * dqk;
         }
+        if (v == nullptr) continue;
         for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          double* vk = v->row(k);
+          const double vkp = vk[p];
+          const double vkq = vk[q];
+          vk[p] = c * vkp - s * vkq;
+          vk[q] = s * vkp + c * vkq;
         }
       }
     }
   }
+}
+
+}  // namespace
+
+EigenDecomposition eigen_symmetric(const Matrix& a, double tol,
+                                   int max_sweeps) {
+  const std::size_t n = a.rows();
+  Matrix d = a;                    // becomes diagonal
+  Matrix v = Matrix::identity(n);  // accumulates rotations
+  jacobi_diagonalize(d, &v, tol, max_sweeps);
 
   // Sort ascending by eigenvalue, permuting eigenvector columns to match.
   std::vector<std::size_t> order(n);
@@ -75,6 +94,16 @@ EigenDecomposition eigen_symmetric(const Matrix& a, double tol,
     for (std::size_t r = 0; r < n; ++r) out.vectors(r, c) = v(r, order[c]);
   }
   return out;
+}
+
+std::vector<double> eigenvalues_symmetric(const Matrix& a, double tol,
+                                          int max_sweeps) {
+  Matrix d = a;
+  jacobi_diagonalize(d, nullptr, tol, max_sweeps);
+  std::vector<double> values(d.rows());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = d(i, i);
+  std::sort(values.begin(), values.end());
+  return values;
 }
 
 Matrix sqrtm_psd(const Matrix& a, double clip_tol) {

@@ -1,6 +1,6 @@
-// Symmetric eigendecomposition (cyclic Jacobi) and the positive
-// semi-definite matrix square root built on it. These are the only
-// decompositions the Fréchet/FID computation needs.
+// Symmetric eigendecomposition (cyclic Jacobi), its eigenvalues-only
+// form, and the positive semi-definite matrix square root built on it.
+// These are the only decompositions the Fréchet/FID computation needs.
 #pragma once
 
 #include <vector>
@@ -19,6 +19,11 @@ struct EigenDecomposition {
 /// std::invalid_argument for non-symmetric input.
 EigenDecomposition eigen_symmetric(const Matrix& a, double tol = 1e-12,
                                    int max_sweeps = 100);
+
+/// The eigenvalues alone, ascending: the same sweeps as eigen_symmetric
+/// (bit-identical values) without accumulating the rotations.
+std::vector<double> eigenvalues_symmetric(const Matrix& a, double tol = 1e-12,
+                                          int max_sweeps = 100);
 
 /// Principal square root of a symmetric positive semi-definite matrix.
 /// Small negative eigenvalues (numerical noise, clipped at -clip_tol) are

@@ -1,5 +1,6 @@
 #include "linalg/gaussian.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/eigen.hpp"
@@ -16,6 +17,14 @@ GaussianStats fit_gaussian(const std::vector<std::vector<double>>& samples) {
 
 double frechet_distance_sq(const GaussianStats& a, const GaussianStats& b) {
   DS_REQUIRE(a.dim() == b.dim(), "dimension mismatch in frechet distance");
+  return frechet_distance_sq(a, b, sqrtm_psd(b.covariance));
+}
+
+double frechet_distance_sq(const GaussianStats& a, const GaussianStats& b,
+                           const Matrix& b_root) {
+  DS_REQUIRE(a.dim() == b.dim(), "dimension mismatch in frechet distance");
+  DS_REQUIRE(b_root.rows() == b.dim() && b_root.cols() == b.dim(),
+             "covariance root has the wrong shape");
   const std::size_t n = a.dim();
 
   double mean_term = 0.0;
@@ -24,15 +33,17 @@ double frechet_distance_sq(const GaussianStats& a, const GaussianStats& b) {
     mean_term += d * d;
   }
 
-  // tr((S1^{1/2} S2 S1^{1/2})^{1/2}) computed via symmetric PSD roots.
-  const Matrix s1_half = sqrtm_psd(a.covariance);
-  const Matrix inner = s1_half * b.covariance * s1_half;
-  // Symmetrize to wash out roundoff before the second root.
+  // tr((Sb^{1/2} Sa Sb^{1/2})^{1/2}) is the sum of the square roots of the
+  // eigenvalues of the symmetric PSD product, so no second root is built.
+  const Matrix inner = b_root * a.covariance * b_root;
+  // Symmetrize to wash out roundoff before the eigenvalue solve.
   const Matrix inner_sym = (inner + inner.transpose()) * 0.5;
-  const Matrix cross_root = sqrtm_psd(inner_sym);
+  double cross_trace = 0.0;
+  for (double lambda : eigenvalues_symmetric(inner_sym))
+    cross_trace += std::sqrt(std::max(0.0, lambda));
 
-  const double cov_term = a.covariance.trace() + b.covariance.trace() -
-                          2.0 * cross_root.trace();
+  const double cov_term =
+      a.covariance.trace() + b.covariance.trace() - 2.0 * cross_trace;
   // The exact value is non-negative; tiny negatives are numerical noise.
   return mean_term + std::max(0.0, cov_term);
 }
@@ -45,9 +56,14 @@ GaussianAccumulator::GaussianAccumulator(std::size_t dim)
 void GaussianAccumulator::add(const std::vector<double>& x) {
   DS_REQUIRE(x.size() == sum_.size(), "dimension mismatch in accumulator");
   ++count_;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sum_[i] += x[i];
-    for (std::size_t j = 0; j < x.size(); ++j) sum_outer_(i, j) += x[i] * x[j];
+  const std::size_t n = x.size();
+  const double* xp = x.data();
+  // Upper triangle only; stats() mirrors it (x_i x_j == x_j x_i exactly).
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = xp[i];
+    sum_[i] += xi;
+    double* outer = sum_outer_.row(i);
+    for (std::size_t j = i; j < n; ++j) outer[j] += xi * xp[j];
   }
 }
 
@@ -72,17 +88,15 @@ GaussianStats GaussianAccumulator::stats() const {
   const double inv = 1.0 / static_cast<double>(count_);
   for (std::size_t i = 0; i < n; ++i) out.mean[i] = sum_[i] * inv;
   out.covariance = Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      out.covariance(i, j) =
-          sum_outer_(i, j) * inv - out.mean[i] * out.mean[j];
-  // Symmetrize against accumulated roundoff.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = 0.5 * (out.covariance(i, j) + out.covariance(j, i));
-      out.covariance(i, j) = v;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* outer = sum_outer_.row(i);
+    double* cov = out.covariance.row(i);
+    for (std::size_t j = i; j < n; ++j) {
+      const double v = outer[j] * inv - out.mean[i] * out.mean[j];
+      cov[j] = v;
       out.covariance(j, i) = v;
     }
+  }
   return out;
 }
 

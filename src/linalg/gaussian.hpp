@@ -4,8 +4,9 @@
 // FID between two feature sets is the Fréchet distance between Gaussians
 // fitted to them:
 //   d^2 = ||mu1 - mu2||^2 + tr(S1 + S2 - 2 (S1^{1/2} S2 S1^{1/2})^{1/2})
-// We use the symmetric-product form so every matrix square root is taken of
-// a symmetric PSD matrix, which our Jacobi-based sqrtm handles exactly.
+// We use the symmetric-product form: tr((S2^{1/2} S1 S2^{1/2})^{1/2}) is the
+// sum of the square roots of that symmetric PSD product's eigenvalues, so
+// one root (of S2, reusable across calls) and one eigenvalue solve suffice.
 #pragma once
 
 #include <vector>
@@ -28,9 +29,15 @@ GaussianStats fit_gaussian(const std::vector<std::vector<double>>& samples);
 
 /// Squared Fréchet distance between two Gaussians.
 double frechet_distance_sq(const GaussianStats& a, const GaussianStats& b);
+/// The same with `b_root` = sqrtm_psd(b.covariance) supplied, so a caller
+/// scoring many sets against one fixed `b` roots it once: each call then
+/// costs one eigenvalue solve of b_root * a.covariance * b_root.
+double frechet_distance_sq(const GaussianStats& a, const GaussianStats& b,
+                           const Matrix& b_root);
 
 /// Incremental accumulator for Gaussian statistics, used by the serving
-/// sink to maintain windowed FID without storing all features.
+/// sink to maintain windowed FID without storing all features. Only the
+/// upper triangle of sum(x x^T) is accumulated; stats() mirrors it.
 class GaussianAccumulator {
  public:
   explicit GaussianAccumulator(std::size_t dim);

@@ -73,10 +73,13 @@ Matrix Matrix::operator*(const Matrix& o) const {
   DS_REQUIRE(cols_ == o.rows_, "shape mismatch in *");
   Matrix r(rows_, o.cols_);
   for (std::size_t i = 0; i < rows_; ++i) {
+    const double* ai = row(i);
+    double* ri = r.row(i);
     for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(i, k);
+      const double a = ai[k];
       if (a == 0.0) continue;
-      for (std::size_t j = 0; j < o.cols_; ++j) r(i, j) += a * o(k, j);
+      const double* ok = o.row(k);
+      for (std::size_t j = 0; j < o.cols_; ++j) ri[j] += a * ok[j];
     }
   }
   return r;

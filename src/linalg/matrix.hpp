@@ -28,6 +28,12 @@ class Matrix {
   double& operator()(std::size_t r, std::size_t c);
   double operator()(std::size_t r, std::size_t c) const;
 
+  /// Unchecked pointer to the first element of row r (r < rows()). The
+  /// kernels walk rows through it instead of paying a bounds-checked
+  /// call per element.
+  double* row(std::size_t r) { return data_.data() + r * cols_; }
+  const double* row(std::size_t r) const { return data_.data() + r * cols_; }
+
   Matrix transpose() const;
   double trace() const;
 

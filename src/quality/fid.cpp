@@ -1,11 +1,14 @@
 #include "quality/fid.hpp"
 
+#include "linalg/eigen.hpp"
 #include "util/check.hpp"
 
 namespace diffserve::quality {
 
 FidScorer::FidScorer(const Workload& workload)
-    : workload_(workload), reference_(workload.reference_stats()) {}
+    : workload_(workload),
+      reference_(workload.reference_stats()),
+      reference_root_(linalg::sqrtm_psd(reference_.covariance)) {}
 
 double FidScorer::fid(
     const std::vector<std::vector<double>>& served_features) const {
@@ -15,7 +18,7 @@ double FidScorer::fid(
 }
 
 double FidScorer::fid(const linalg::GaussianStats& served) const {
-  return linalg::frechet_distance_sq(served, reference_);
+  return linalg::frechet_distance_sq(served, reference_, reference_root_);
 }
 
 double FidScorer::fid_single_tier(int tier) const {
@@ -24,42 +27,6 @@ double FidScorer::fid_single_tier(int tier) const {
   for (QueryId q = 0; q < workload_.size(); ++q)
     feats.push_back(workload_.generated_feature(q, tier));
   return fid(feats);
-}
-
-WindowedFid::WindowedFid(const FidScorer& scorer, double window_seconds,
-                         std::size_t min_samples)
-    : scorer_(scorer), window_(window_seconds), min_samples_(min_samples) {
-  DS_REQUIRE(window_seconds > 0.0, "window must be positive");
-  DS_REQUIRE(min_samples >= 2, "FID needs at least two samples");
-}
-
-void WindowedFid::add(double time_seconds, const std::vector<double>& feature) {
-  DS_REQUIRE(!finalized_, "add after finalize");
-  DS_REQUIRE(time_seconds >= window_start_,
-             "features must arrive in non-decreasing time order");
-  while (time_seconds >= window_start_ + window_) close_window();
-  pending_.push_back(feature);
-}
-
-void WindowedFid::close_window() {
-  if (pending_.size() >= min_samples_) {
-    series_.push_back(
-        {window_start_, scorer_.fid(pending_), pending_.size()});
-    pending_.clear();
-  }
-  // Thin windows carry their samples into the next window rather than
-  // emitting an unstable covariance estimate.
-  window_start_ += window_;
-}
-
-const std::vector<WindowedFid::Point>& WindowedFid::finalize(double now) {
-  if (finalized_) return series_;
-  while (window_start_ + window_ <= now) close_window();
-  if (pending_.size() >= min_samples_)
-    series_.push_back({window_start_, scorer_.fid(pending_), pending_.size()});
-  pending_.clear();
-  finalized_ = true;
-  return series_;
 }
 
 }  // namespace diffserve::quality

@@ -4,8 +4,11 @@
 // all text prompts in a dataset through the system and evaluate the quality
 // of the generated images" (§4.1). The scorer holds the real-image
 // reference statistics and computes the exact Gaussian Fréchet distance to
-// whatever feature set the system served. A windowed accumulator supports
-// the FID-over-time series of Figures 5 and 8.
+// whatever feature set the system served. The reference covariance's
+// square root is taken once, at construction: every score after that is
+// one eigenvalue solve (linalg::frechet_distance_sq's cached-root form),
+// which keeps the per-window FIDs of the Figure 5/8 timelines
+// (engine::MetricsSink::timeline) cheap.
 #pragma once
 
 #include <vector>
@@ -33,38 +36,7 @@ class FidScorer {
  private:
   const Workload& workload_;
   linalg::GaussianStats reference_;
-};
-
-/// Accumulates served features and emits FID per fixed time window —
-/// regularized toward the previous window when a window has too few
-/// samples for a stable covariance.
-class WindowedFid {
- public:
-  WindowedFid(const FidScorer& scorer, double window_seconds,
-              std::size_t min_samples = 32);
-
-  void add(double time_seconds, const std::vector<double>& feature);
-
-  struct Point {
-    double window_start;
-    double fid;
-    std::size_t samples;
-  };
-  /// Close out all windows up to `now` and return the completed series so
-  /// far (idempotent; call once at the end of a run).
-  const std::vector<Point>& finalize(double now);
-  const std::vector<Point>& series() const { return series_; }
-
- private:
-  void close_window();
-
-  const FidScorer& scorer_;
-  double window_;
-  std::size_t min_samples_;
-  double window_start_ = 0.0;
-  std::vector<std::vector<double>> pending_;  // carries over thin windows
-  std::vector<Point> series_;
-  bool finalized_ = false;
+  linalg::Matrix reference_root_;  ///< sqrtm_psd(reference_.covariance)
 };
 
 }  // namespace diffserve::quality

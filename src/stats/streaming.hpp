@@ -33,14 +33,20 @@ class RunningStats {
 /// sample count is bounded (per-experiment latency distributions).
 class PercentileTracker {
  public:
-  void add(double x) { samples_.push_back(x); }
+  void add(double x) {
+    samples_.push_back(x);
+    sorted_ = false;
+  }
   std::size_t count() const { return samples_.size(); }
 
   /// Linear-interpolated percentile, p in [0, 100]. Requires >=1 sample.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 
-  void reset() { samples_.clear(); }
+  void reset() {
+    samples_.clear();
+    sorted_ = false;
+  }
   const std::vector<double>& samples() const { return samples_; }
 
  private:

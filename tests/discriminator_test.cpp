@@ -1,10 +1,13 @@
 // Tests for discriminator training and the deferral profile f(t).
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "discriminator/deferral_profile.hpp"
 #include "discriminator/discriminator.hpp"
 #include "nn/metrics.hpp"
 #include "quality/workload.hpp"
+#include "util/rng.hpp"
 
 namespace diffserve::discriminator {
 namespace {
@@ -176,6 +179,61 @@ TEST(OnlineDeferralProfile, WindowEvictsOldObservations) {
   for (int i = 0; i < 300; ++i) online.observe(0.9);
   // Ring of 300 now holds only the 0.9s.
   EXPECT_LT(online.fraction_deferred(0.5), 0.05);
+}
+
+// The incrementally sorted window against a fresh sort of the same ring:
+// random capacities and activation thresholds, reads during warm-up,
+// coarse confidences (many duplicates) on half the seeds, and bursts
+// longer than the window between reads.
+TEST(OnlineDeferralProfile, IncrementalGridMatchesFreshSortAcross100Seeds) {
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    util::Rng rng(seed + 4000);
+    const auto capacity = static_cast<std::size_t>(rng.uniform_int(20, 400));
+    const auto min_samples = static_cast<std::size_t>(
+        rng.uniform_int(10, static_cast<std::int64_t>(capacity)));
+    const bool coarse = seed % 2 == 0;
+    std::vector<double> offline_samples;
+    for (int i = 0; i < 50; ++i) offline_samples.push_back(rng.uniform());
+    const DeferralProfile offline(offline_samples);
+    OnlineDeferralProfile online(offline, capacity, min_samples);
+    std::deque<double> window;  // the oracle ring, oldest first
+
+    for (int read = 0; read < 40; ++read) {
+      std::int64_t burst = rng.uniform_int(0, static_cast<std::int64_t>(
+                                                  capacity / 4));
+      if (read < 3) burst = rng.uniform_int(0, 8);  // reads while cold
+      if (rng.uniform() < 0.15)
+        burst = static_cast<std::int64_t>(capacity) + rng.uniform_int(1, 50);
+      for (std::int64_t k = 0; k < burst; ++k) {
+        const double c = coarse ? static_cast<double>(rng.uniform_int(0, 20)) /
+                                      20.0
+                                : rng.uniform();
+        online.observe(c);
+        window.push_back(c);
+        if (window.size() > capacity) window.pop_front();
+      }
+      const DeferralProfile fresh =
+          window.size() < min_samples
+              ? offline
+              : DeferralProfile(
+                    std::vector<double>(window.begin(), window.end()));
+      const std::size_t points = static_cast<std::size_t>(
+          rng.uniform_int(2, 60));
+      const double max_fraction = rng.uniform(0.1, 1.0);
+      const auto got = online.grid(points, max_fraction);
+      const auto want = fresh.grid(points, max_fraction);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " read " << read;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].threshold, want[i].threshold)
+            << "seed " << seed << " read " << read << " point " << i;
+        ASSERT_EQ(got[i].fraction, want[i].fraction)
+            << "seed " << seed << " read " << read << " point " << i;
+      }
+      const double t = coarse ? 0.5 : rng.uniform();
+      ASSERT_EQ(online.fraction_deferred(t), fresh.fraction_deferred(t))
+          << "seed " << seed << " read " << read;
+    }
+  }
 }
 
 TEST(TrainedWithHeavyAsReal, StillProducesScores) {

@@ -3,6 +3,7 @@
 // parameterized property sweeps on random matrices.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/eigen.hpp"
@@ -241,6 +242,189 @@ TEST(Accumulator, MergeEqualsCombined) {
   EXPECT_NEAR(merged.mean[0], direct.mean[0], 1e-9);
   EXPECT_LT(Matrix::max_abs_diff(merged.covariance, direct.covariance),
             1e-9);
+}
+
+// --- parity of the kernels against naive oracles --------------------------
+
+/// GaussianAccumulator written the plain way: the full outer product of
+/// every sample through the checked accessor, then symmetrized stats.
+struct NaiveAccumulator {
+  explicit NaiveAccumulator(std::size_t n) : sum(n, 0.0), outer(n, n) {}
+  void add(const std::vector<double>& x) {
+    ++count;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      sum[i] += x[i];
+      for (std::size_t j = 0; j < x.size(); ++j) outer(i, j) += x[i] * x[j];
+    }
+  }
+  void merge(const NaiveAccumulator& o) {
+    count += o.count;
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += o.sum[i];
+    outer += o.outer;
+  }
+  GaussianStats stats() const {
+    const std::size_t n = sum.size();
+    const double inv = 1.0 / static_cast<double>(count);
+    GaussianStats out;
+    for (double s : sum) out.mean.push_back(s * inv);
+    out.covariance = Matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        out.covariance(i, j) = outer(i, j) * inv - out.mean[i] * out.mean[j];
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j) {
+        const double v =
+            0.5 * (out.covariance(i, j) + out.covariance(j, i));
+        out.covariance(i, j) = v;
+        out.covariance(j, i) = v;
+      }
+    return out;
+  }
+  std::size_t count = 0;
+  std::vector<double> sum;
+  Matrix outer;
+};
+
+void expect_bit_identical(const GaussianStats& a, const GaussianStats& b) {
+  ASSERT_EQ(a.dim(), b.dim());
+  for (std::size_t i = 0; i < a.dim(); ++i) EXPECT_EQ(a.mean[i], b.mean[i]);
+  EXPECT_EQ(a.covariance.data(), b.covariance.data());
+}
+
+TEST(AccumulatorParity, TriangleFoldIsBitIdenticalToFullOuterProduct) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    util::Rng rng(seed + 700);
+    const std::size_t n =
+        static_cast<std::size_t>(rng.uniform_int(1, 24));
+    GaussianAccumulator a(n), b(n);
+    NaiveAccumulator na(n), nb(n);
+    const auto samples = rng.uniform_int(2, 300);
+    for (std::int64_t k = 0; k < samples; ++k) {
+      std::vector<double> x(n);
+      for (auto& v : x) v = rng.normal(rng.uniform(-3.0, 3.0), 2.0);
+      if (k % 3 == 0) {
+        b.add(x);
+        nb.add(x);
+      } else {
+        a.add(x);
+        na.add(x);
+      }
+    }
+    if (a.count() >= 2) expect_bit_identical(a.stats(), na.stats());
+    a.merge(b);
+    na.merge(nb);
+    expect_bit_identical(a.stats(), na.stats());
+  }
+}
+
+/// The Fréchet distance with both roots taken: S1^{1/2}, then the root of
+/// S1^{1/2} S2 S1^{1/2} rebuilt as V diag(sqrt(lambda)) V^T.
+double two_root_frechet(const GaussianStats& a, const GaussianStats& b) {
+  double mean_term = 0.0;
+  for (std::size_t i = 0; i < a.dim(); ++i)
+    mean_term += (a.mean[i] - b.mean[i]) * (a.mean[i] - b.mean[i]);
+  const Matrix s1_half = sqrtm_psd(a.covariance);
+  const Matrix inner = s1_half * b.covariance * s1_half;
+  const Matrix cross_root = sqrtm_psd((inner + inner.transpose()) * 0.5);
+  const double cov_term = a.covariance.trace() + b.covariance.trace() -
+                          2.0 * cross_root.trace();
+  return mean_term + std::max(0.0, cov_term);
+}
+
+GaussianStats random_gaussian(std::size_t n, const Matrix& covariance,
+                              util::Rng& rng) {
+  GaussianStats g;
+  for (std::size_t i = 0; i < n; ++i) g.mean.push_back(rng.normal());
+  g.covariance = covariance;
+  return g;
+}
+
+/// An n x cols matrix of standard normals.
+Matrix random_factor(std::size_t n, std::size_t cols, util::Rng& rng) {
+  Matrix f(n, cols);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < cols; ++j) f(i, j) = rng.normal();
+  return f;
+}
+
+Matrix gram(const Matrix& f) {
+  const Matrix g = f * f.transpose();
+  return (g + g.transpose()) * 0.5;
+}
+
+TEST(FrechetParity, CachedRootMatchesTwoRootFormOnFullRankPairs) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    util::Rng rng(seed + 900);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 16));
+    const auto a = random_gaussian(n, random_spd(n, rng, 0.1), rng);
+    const auto b = random_gaussian(n, random_spd(n, rng, 0.1), rng);
+    const double oracle = two_root_frechet(a, b);
+    const double cached = frechet_distance_sq(a, b, sqrtm_psd(b.covariance));
+    EXPECT_NEAR(cached, oracle, 1e-9 * std::fabs(oracle))
+        << "seed " << seed << " dim " << n;
+    EXPECT_EQ(frechet_distance_sq(a, b), cached);
+  }
+}
+
+// An exactly singular covariance leaves eigenvalues of size eps * |S|
+// where the exact ones are zero, and their square roots (sqrt(eps) ~
+// 1.5e-8 relative) enter the cross term of either form. So on
+// rank-deficient pairs both forms are held to a well-conditioned oracle
+// at that floor: with the singular side X X^T (X is n x r), the nonzero
+// eigenvalues of S_other X X^T are those of the r x r X^T S_other X.
+TEST(FrechetParity, RankDeficientPairsMatchFactoredOracleAtTheRootFloor) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    util::Rng rng(seed + 1000);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 16));
+    const auto r = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(n) - 1));
+    const Matrix x = random_factor(n, r, rng);
+    const Matrix full = random_spd(n, rng, 0.1);
+    // Odd seeds put the singular covariance on the cached-root side.
+    const bool singular_reference = seed % 2 == 1;
+    const auto a = random_gaussian(n, singular_reference ? full : gram(x), rng);
+    const auto b = random_gaussian(n, singular_reference ? gram(x) : full, rng);
+
+    Matrix small = x.transpose() * full * x;
+    small = (small + small.transpose()) * 0.5;
+    double cross = 0.0;
+    for (double lambda : eigenvalues_symmetric(small))
+      cross += std::sqrt(std::max(0.0, lambda));
+    double mean_term = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      mean_term += (a.mean[i] - b.mean[i]) * (a.mean[i] - b.mean[i]);
+    const double truth = mean_term + a.covariance.trace() +
+                         b.covariance.trace() - 2.0 * cross;
+
+    const double cached = frechet_distance_sq(a, b, sqrtm_psd(b.covariance));
+    EXPECT_NEAR(cached, truth, 1e-7 * std::fabs(truth))
+        << "seed " << seed << " dim " << n << " rank " << r;
+    EXPECT_NEAR(two_root_frechet(a, b), truth, 1e-7 * std::fabs(truth))
+        << "seed " << seed << " dim " << n << " rank " << r;
+  }
+}
+
+TEST(EigenParity, ValuesOnlyMatchFullDecomposition) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    util::Rng rng(seed + 1100);
+    const Matrix a = random_spd(static_cast<std::size_t>(seed) + 2, rng);
+    EXPECT_EQ(eigenvalues_symmetric(a), eigen_symmetric(a).values);
+  }
+}
+
+TEST(MatrixParity, ProductMatchesCheckedTripleLoop) {
+  util::Rng rng(1200);
+  Matrix a(5, 7), b(7, 3);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t k = 0; k < 7; ++k)
+      a(i, k) = (i + k) % 4 == 0 ? 0.0 : rng.normal();
+  for (std::size_t k = 0; k < 7; ++k)
+    for (std::size_t j = 0; j < 3; ++j) b(k, j) = rng.normal();
+  Matrix want(5, 3);
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t k = 0; k < 7; ++k)
+      for (std::size_t j = 0; j < 3; ++j) want(i, j) += a(i, k) * b(k, j);
+  EXPECT_EQ((a * b).data(), want.data());
 }
 
 TEST(Accumulator, RequiresTwoSamples) {

@@ -192,46 +192,6 @@ TEST(Fid, RequiresTwoSamples) {
   EXPECT_THROW(scorer.fid(one), std::invalid_argument);
 }
 
-TEST(WindowedFid, EmitsPerWindowPoints) {
-  Workload w(600);
-  FidScorer scorer(w);
-  WindowedFid wf(scorer, 10.0, 16);
-  for (int i = 0; i < 200; ++i)
-    wf.add(i * 0.2, w.generated_feature(static_cast<QueryId>(i % w.size()), 5));
-  const auto& series = wf.finalize(40.0);
-  ASSERT_GE(series.size(), 3u);
-  for (const auto& pt : series) {
-    EXPECT_GE(pt.samples, 16u);
-    EXPECT_GT(pt.fid, 0.0);
-  }
-}
-
-TEST(WindowedFid, ThinWindowsCarryOver) {
-  Workload w(300);
-  FidScorer scorer(w);
-  WindowedFid wf(scorer, 1.0, 50);
-  // 10 samples per 1 s window — far below min; everything accumulates.
-  for (int i = 0; i < 100; ++i)
-    wf.add(i * 0.1, w.generated_feature(static_cast<QueryId>(i % w.size()), 2));
-  const auto& series = wf.finalize(10.0);
-  // Windows emit only once >= 50 samples accumulated: two points of 50.
-  ASSERT_EQ(series.size(), 2u);
-  std::size_t total = 0;
-  for (const auto& pt : series) {
-    EXPECT_GE(pt.samples, 50u);
-    total += pt.samples;
-  }
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(WindowedFid, RejectsOutOfOrderTime) {
-  Workload w(100);
-  FidScorer scorer(w);
-  WindowedFid wf(scorer, 10.0);
-  wf.add(15.0, w.real_feature(0));  // advances past the first window
-  EXPECT_THROW(wf.add(1.0, w.real_feature(1)), std::invalid_argument);
-}
-
 TEST(Workload, RejectsTinyWorkload) {
   EXPECT_THROW(Workload(4), std::invalid_argument);
 }

@@ -4,6 +4,9 @@
 // src/engine/ and is shared with the threaded testbed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "discriminator/discriminator.hpp"
 #include "engine/engine.hpp"
 #include "engine/metrics_sink.hpp"
@@ -12,6 +15,7 @@
 #include "quality/workload.hpp"
 #include "serving/system.hpp"
 #include "sim/simulation.hpp"
+#include "util/rng.hpp"
 
 namespace diffserve::serving {
 namespace {
@@ -340,6 +344,86 @@ TEST_F(ServingIntegration, SinkTimelineWindows) {
   }
 }
 
+TEST_F(ServingIntegration, SinkTimelineIgnoresRecordOrder) {
+  // Terminals with drops, late completions, an empty window, and times on
+  // window edges, fed in time order; their records are then scored in time
+  // order, window by window in reverse, and shuffled.
+  util::Rng rng(17);
+  std::vector<double> times;
+  for (int i = 0; i < 300; ++i) {
+    double t = rng.uniform(0.0, 60.0);
+    if (i % 25 == 0) t = 10.0 * static_cast<double>(i / 25 % 7);  // edges
+    if (t >= 30.0 && t < 40.0) t -= 10.0;  // window [30, 40) stays empty
+    times.push_back(t);
+  }
+  std::sort(times.begin(), times.end());
+  engine::MetricsSink sink(*workload_, *scorer_);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const double t = times[i];
+    const bool late = rng.uniform() < 0.2;
+    Query q = make_query(i, t - 1.0, t + (late ? -0.5 : 0.5), 0.0);
+    if (rng.uniform() < 0.1)
+      sink.drop(q, t);
+    else
+      sink.complete(q, 2 + static_cast<int>(i % 4), t);
+  }
+
+  const auto want = sink.timeline(10.0, 8);
+  ASSERT_EQ(want.size(), 7u);  // [0, 10) ... [60, 70): t = 60 is an edge
+  EXPECT_EQ(want[3].samples, 0u);
+  EXPECT_EQ(want[3].fid, -1.0);
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(want[k].time, 10.0 * static_cast<double>(k));
+    total += want[k].samples;
+    // The oracle: the window's records picked out and scored directly.
+    std::vector<std::vector<double>> features;
+    std::size_t n = 0, violated = 0;
+    for (const auto& r : sink.records()) {
+      if (r.time < want[k].time || r.time >= want[k].time + 10.0) continue;
+      ++n;
+      if (r.violated) ++violated;
+      if (!r.feature.empty()) features.push_back(r.feature);
+    }
+    EXPECT_EQ(want[k].samples, n) << "window " << k;
+    EXPECT_EQ(want[k].violation_ratio,
+              n ? static_cast<double>(violated) / static_cast<double>(n) : 0.0)
+        << "window " << k;
+    if (features.size() >= 8) {
+      EXPECT_EQ(want[k].fid, scorer_->fid(features)) << "window " << k;
+    }
+  }
+  EXPECT_EQ(total, times.size());
+
+  auto reversed_windows = sink.records();
+  std::stable_sort(reversed_windows.begin(), reversed_windows.end(),
+                   [](const auto& a, const auto& b) {
+                     return std::floor(a.time / 10.0) >
+                            std::floor(b.time / 10.0);
+                   });
+  auto shuffled = sink.records();
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const auto* records : {&reversed_windows, &shuffled}) {
+    const auto got =
+        engine::MetricsSink::timeline_of(*records, *scorer_, 10.0, 8);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].time, want[k].time);
+      EXPECT_EQ(got[k].samples, want[k].samples);
+      EXPECT_EQ(got[k].violation_ratio, want[k].violation_ratio);
+      EXPECT_EQ(got[k].throughput, want[k].throughput);
+      // Reversing whole windows keeps each window's fold order, so its FID
+      // is bit-identical; a shuffle reorders the fold (roundoff only).
+      if (records == &reversed_windows) {
+        EXPECT_EQ(got[k].fid, want[k].fid) << "window " << k;
+      } else {
+        EXPECT_NEAR(got[k].fid, want[k].fid, 1e-9 * std::fabs(want[k].fid))
+            << "window " << k;
+      }
+    }
+  }
+}
+
 TEST_F(ServingIntegration, PlanExceedingClusterRejected) {
   sim::Simulation sim;
   SystemConfig cfg;
@@ -402,8 +486,8 @@ TEST_F(ServingIntegration, FastModeMatchesRecordingModeAggregates) {
   EXPECT_EQ(fast->sink().dropped(), recording->sink().dropped());
   EXPECT_DOUBLE_EQ(fast->sink().mean_latency(),
                    recording->sink().mean_latency());
-  EXPECT_DOUBLE_EQ(fast->sink().latency_percentile(0.99),
-                   recording->sink().latency_percentile(0.99));
+  EXPECT_DOUBLE_EQ(fast->sink().latency_percentile(99.0),
+                   recording->sink().latency_percentile(99.0));
   EXPECT_DOUBLE_EQ(fast->sink().violation_ratio(),
                    recording->sink().violation_ratio());
   EXPECT_DOUBLE_EQ(fast->sink().light_served_fraction(),

@@ -64,6 +64,24 @@ TEST(Percentile, InterleavedAddAndQuery) {
   EXPECT_NEAR(p.median(), 15.0, 1e-12);
 }
 
+TEST(Percentile, AddAfterQueryReSorts) {
+  // A query sorts the samples; values added after it, below the sorted
+  // range, must still be ordered in the next query.
+  PercentileTracker p;
+  for (int i = 10; i <= 20; ++i) p.add(i);
+  EXPECT_EQ(p.percentile(0.0), 10.0);
+  p.add(1.0);
+  p.add(2.0);
+  EXPECT_EQ(p.percentile(0.0), 1.0);
+  EXPECT_EQ(p.percentile(100.0), 20.0);
+  EXPECT_EQ(p.median(), 14.0);
+  p.reset();
+  p.add(5.0);
+  p.add(3.0);
+  EXPECT_EQ(p.percentile(0.0), 3.0);
+  EXPECT_EQ(p.percentile(100.0), 5.0);
+}
+
 TEST(Percentile, EmptyThrows) {
   PercentileTracker p;
   EXPECT_THROW(p.percentile(50.0), std::invalid_argument);
