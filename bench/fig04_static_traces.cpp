@@ -42,7 +42,7 @@ int main() {
          {core::Approach::kProteus, core::Approach::kDiffServe}) {
       for (const double lambda : over_provision_sweep) {
         rc.approach = approach;
-        rc.over_provision = lambda;
+        rc.controller.over_provision = lambda;
         const auto r = run_experiment(env, rc);
         table.row(std::vector<std::string>{
             load_names[li], core::to_string(approach),
@@ -50,7 +50,7 @@ int main() {
             bench::ReportTable::fmt(r.violation_ratio),
             bench::ReportTable::fmt(r.overall_fid)});
       }
-      rc.over_provision = 1.05;
+      rc.controller.over_provision = 1.05;
     }
   }
   return 0;

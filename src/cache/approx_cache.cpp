@@ -9,6 +9,43 @@
 
 namespace diffserve::cache {
 
+namespace {
+
+/// Random hyperplane projections per LSH table: a table's bucket is the
+/// quantized cell of the key under its projections. More projections mean
+/// finer buckets (fewer candidates, lower per-table recall — each extra
+/// table then wins most of it back). 12 projections of far-sized cells
+/// carry about the candidate density 10 projections of near-sized cells
+/// did.
+constexpr std::size_t kLshProjections = 12;
+// The probe path keeps per-projection cells in fixed stack arrays.
+static_assert(kLshProjections <= 32, "cell scratch arrays hold 32");
+/// Adaptive probing stops expanding once the modelled recall of a
+/// neighbour at far_distance (across all tables) reaches this bound.
+constexpr double kLshTargetRecall = 0.9;
+/// The per-table bound that compounds to the overall one:
+/// 1 - (1 - r_table)^tables >= kLshTargetRecall.
+const double kTableRecallTarget =
+    1.0 - std::pow(1.0 - kLshTargetRecall,
+                   1.0 / static_cast<double>(kLshTables));
+/// Per-table probe budget for adaptive probing, in units of expected
+/// *candidate evaluations* (distance computations): the effective probe
+/// count is this divided by the observed candidates-per-probe yield (EWMA,
+/// deterministic), clamped to [2, 2x] probes — dense buckets probe a
+/// handful of cells that already carry plenty of candidates, sparse
+/// buckets fan out to 2x (cells there are near-free), and the
+/// distance-computation work per lookup stays roughly flat either way.
+/// Sized for the sparse regime's far edge: up to 2x96 probes per table
+/// hold far-decile recall comfortably over 0.9 of the near decile's
+/// (fig11 Part 3a), while dense caches tune down to a few probes
+/// regardless.
+constexpr std::size_t kLshProbeBudget = 96;
+/// Seed of the projection directions/offsets. Fixed, so both execution
+/// backends derive identical buckets.
+constexpr std::uint64_t kLshSeed = 0xD1FF5EEDCAFEULL;
+
+}  // namespace
+
 const char* to_string(HitLevel level) {
   switch (level) {
     case HitLevel::kMiss: return "miss";
@@ -79,38 +116,20 @@ ApproxCache::ApproxCache(CacheConfig cfg) : cfg_(cfg) {
                "interpolation anchors must be ordered min <= near <= far");
   DS_REQUIRE(cfg_.hit_latency >= 0.0, "negative hit latency");
   DS_REQUIRE(cfg_.popularity_weight >= 0.0, "negative popularity weight");
-  DS_REQUIRE(cfg_.lsh_projections >= 1 && cfg_.lsh_projections <= 32,
-             "lsh_projections must be in [1, 32]");
-  DS_REQUIRE(cfg_.lsh_tables >= 1, "need at least one LSH table");
-  DS_REQUIRE(cfg_.lsh_width_scale > 0.0, "lsh_width_scale must be positive");
-  DS_REQUIRE(cfg_.lsh_target_recall > 0.0 && cfg_.lsh_target_recall < 1.0,
-             "lsh_target_recall must be in (0, 1)");
-  DS_REQUIRE(cfg_.lsh_probe_budget >= 1, "lsh_probe_budget must be >= 1");
   indexed_ = cfg_.index_kind == IndexKind::kLsh ||
              (cfg_.index_kind == IndexKind::kAuto &&
               cfg_.capacity > kAutoIndexThreshold);
   if (indexed_) {
-    buckets_.resize(cfg_.lsh_tables);
-    // Cells sized to a hit radius *in projection units*: an in-radius
-    // neighbour then lands in the same or an adjacent cell per projection
-    // with high probability. For L2 a neighbour's projection differs by
-    // at most the distance itself; cosine distance d between normalized
-    // keys corresponds to a chord of sqrt(2d), so the cell width must be
-    // in chord units or near neighbours land several cells away. A
-    // degenerate radius still quantizes (exact duplicates always share
-    // every cell). The width is tuned to the *far* radius — a far-edge
-    // neighbour then crosses at most a couple of boundaries and the
-    // directed probe set can recover it, where near-sized cells scatter it
-    // across combinatorially many buckets no budget reaches.
-    far_span_ = cfg_.metric == SimilarityMetric::kCosine
-                    ? std::sqrt(2.0 * cfg_.far_distance)
-                    : cfg_.far_distance;
-    lsh_cell_width_ = std::max(cfg_.lsh_width_scale * far_span_, 1e-9);
-    // The per-table bound that compounds to the configured overall one:
-    // 1 - (1 - r_table)^tables >= lsh_target_recall.
-    table_recall_target_ =
-        1.0 - std::pow(1.0 - cfg_.lsh_target_recall,
-                       1.0 / static_cast<double>(cfg_.lsh_tables));
+    buckets_.resize(kLshTables);
+    // Cells sized to a hit radius: an in-radius neighbour's projection
+    // differs by at most the distance itself, so it lands in the same or
+    // an adjacent cell per projection with high probability. A degenerate
+    // radius still quantizes (exact duplicates always share every cell).
+    // The width is tuned to the *far* radius — a far-edge neighbour then
+    // crosses at most a couple of boundaries and the directed probe set
+    // can recover it, where near-sized cells scatter it across
+    // combinatorially many buckets no budget reaches.
+    lsh_cell_width_ = std::max(cfg_.far_distance, 1e-9);
   }
   entries_.reserve(cfg_.capacity);
 }
@@ -118,26 +137,12 @@ ApproxCache::ApproxCache(CacheConfig cfg) : cfg_(cfg) {
 double ApproxCache::distance(const std::vector<double>& a,
                              const std::vector<double>& b) const {
   DS_REQUIRE(a.size() == b.size(), "key dimensions differ");
-  if (cfg_.metric == SimilarityMetric::kL2) {
-    double sq = 0.0;
-    for (std::size_t d = 0; d < a.size(); ++d) {
-      const double diff = a[d] - b[d];
-      sq += diff * diff;
-    }
-    return std::sqrt(sq);
-  }
-  double dot = 0.0, na = 0.0, nb = 0.0;
+  double sq = 0.0;
   for (std::size_t d = 0; d < a.size(); ++d) {
-    dot += a[d] * b[d];
-    na += a[d] * a[d];
-    nb += b[d] * b[d];
+    const double diff = a[d] - b[d];
+    sq += diff * diff;
   }
-  const double denom = std::sqrt(na) * std::sqrt(nb);
-  // A degenerate vector has no direction, so it is similar to *nothing*:
-  // any finite placeholder (the old 1.0) silently classified it as an
-  // approx-far hit whenever far_distance >= 1.
-  if (denom <= 1e-12) return std::numeric_limits<double>::infinity();
-  return 1.0 - dot / denom;
+  return std::sqrt(sq);
 }
 
 double ApproxCache::approx_step_fraction(double d) const {
@@ -272,24 +277,24 @@ std::size_t ApproxCache::nearest_lsh(const std::vector<double>& key,
 template <typename ProbeFn>
 void ApproxCache::nearest_lsh_adaptive(const std::vector<double>& key,
                                        ProbeFn&& probe) {
-  const std::size_t k = cfg_.lsh_projections;
+  const std::size_t k = kLshProjections;
   const double w = lsh_cell_width_;
   // Shift model: a neighbour at far_distance moves each (unit) projection
-  // by ~N(0, far_span / sqrt(dim)) — the average-case spread of a fixed
+  // by ~N(0, far_distance / sqrt(dim)) — the average-case spread of a fixed
   // direction's share of a randomly oriented difference vector.
   const double sigma =
-      std::max(far_span_ / std::sqrt(static_cast<double>(key.size())), 1e-12);
-  // Effective per-table probe count: the configured budget is in units of
+      std::max(cfg_.far_distance / std::sqrt(static_cast<double>(key.size())),
+               1e-12);
+  // Effective per-table probe count: the budget is in units of
   // expected candidate evaluations, so divide by the observed
   // candidates-per-probe yield — dense buckets probe less, sparse buckets
   // probe more, and the distance work per lookup stays roughly flat.
   const double denom = std::max(probe_yield_ewma_, 0.5);
   const double scaled =
-      static_cast<double>(cfg_.lsh_probe_budget) / denom + 0.5;
-  const std::size_t budget = std::min(
-      2 * cfg_.lsh_probe_budget,
-      std::max(std::min<std::size_t>(2, cfg_.lsh_probe_budget),
-               static_cast<std::size_t>(scaled)));
+      static_cast<double>(kLshProbeBudget) / denom + 0.5;
+  const std::size_t budget =
+      std::min(2 * kLshProbeBudget,
+               std::max(std::size_t{2}, static_cast<std::size_t>(scaled)));
 
   std::int64_t cells[32], perturbed[32];
   double fracs[32];
@@ -299,7 +304,7 @@ void ApproxCache::nearest_lsh_adaptive(const std::vector<double>& key,
   // never allocates.
   std::vector<ProbeSet>& frontier = probe_frontier_;
   frontier.reserve(4 * budget + 18);
-  for (std::size_t t = 0; t < cfg_.lsh_tables; ++t) {
+  for (std::size_t t = 0; t < kLshTables; ++t) {
     cells_of(t, key, cells, fracs);
     // Per-projection landing probabilities of a far_distance neighbour:
     // home cell, one cell up, one cell down.
@@ -321,7 +326,7 @@ void ApproxCache::nearest_lsh_adaptive(const std::vector<double>& key,
     }
     probe(t, hash_cells(t, cells));
     double est_recall = home_prob;
-    if (est_recall >= table_recall_target_) continue;
+    if (est_recall >= kTableRecallTarget) continue;
 
     // Cheapest boundaries first; exact ties settled by (proj, delta) so
     // the expansion order is deterministic.
@@ -338,7 +343,7 @@ void ApproxCache::nearest_lsh_adaptive(const std::vector<double>& key,
     // the frontier work is O(budget log budget); invalid sets (both
     // directions of one projection) still expand but do not probe.
     for (std::size_t iter = 0;
-         spent < budget && est_recall < table_recall_target_ &&
+         spent < budget && est_recall < kTableRecallTarget &&
          !frontier.empty() && iter < 4 * budget + 16;
          ++iter) {
       std::pop_heap(frontier.begin(), frontier.end(), probe_set_after);
@@ -553,7 +558,7 @@ std::size_t ApproxCache::upsert_entry(quality::QueryId prompt,
       e.key = key;
       if (indexed_) {
         ensure_planes(key.size());
-        for (std::size_t t = 0; t < cfg_.lsh_tables; ++t)
+        for (std::size_t t = 0; t < kLshTables; ++t)
           e.codes[t] = code_of(t, key);
         index_add(idx);
       }
@@ -570,8 +575,8 @@ std::size_t ApproxCache::upsert_entry(quality::QueryId prompt,
   e.order = next_order_++;
   if (indexed_) {
     ensure_planes(key.size());
-    e.codes.resize(cfg_.lsh_tables);
-    for (std::size_t t = 0; t < cfg_.lsh_tables; ++t)
+    e.codes.resize(kLshTables);
+    for (std::size_t t = 0; t < kLshTables; ++t)
       e.codes[t] = code_of(t, key);
   }
   idx = entries_.size();
@@ -628,15 +633,15 @@ void ApproxCache::ensure_planes(std::size_t dim) {
     return;
   }
   DS_REQUIRE(dim >= 1, "empty cache key");
-  util::Rng rng(cfg_.lsh_seed);
-  planes_.resize(cfg_.lsh_tables * cfg_.lsh_projections);
+  util::Rng rng(kLshSeed);
+  planes_.resize(kLshTables * kLshProjections);
   plane_offsets_.resize(planes_.size());
   for (std::size_t i = 0; i < planes_.size(); ++i) {
     auto& p = planes_[i];
     p.resize(dim);
     // Unit-normalized direction: an in-radius neighbour's projection then
-    // differs by at most the radius's span in key space (the L2 distance,
-    // or the chord for cosine), which the cell width is sized against.
+    // differs by at most the L2 distance, which the cell width is sized
+    // against.
     double norm = 0.0;
     for (auto& v : p) {
       v = rng.normal();
@@ -652,24 +657,12 @@ void ApproxCache::ensure_planes(std::size_t dim) {
 
 void ApproxCache::cells_of(std::size_t table, const std::vector<double>& key,
                            std::int64_t* cells, double* fracs) const {
-  // The cosine metric is magnitude-invariant, so project the direction,
-  // not the raw vector — otherwise scaled duplicates (cosine distance 0)
-  // land in distant cells and the index misses hits the scan finds. A
-  // degenerate vector keeps scale 1; it matches nothing anyway
-  // (distance() returns +infinity).
-  double scale = 1.0;
-  if (cfg_.metric == SimilarityMetric::kCosine) {
-    double sq = 0.0;
-    for (const double v : key) sq += v * v;
-    const double norm = std::sqrt(sq);
-    if (norm > 1e-12) scale = 1.0 / norm;
-  }
-  const std::size_t base = table * cfg_.lsh_projections;
-  for (std::size_t j = 0; j < cfg_.lsh_projections; ++j) {
+  const std::size_t base = table * kLshProjections;
+  for (std::size_t j = 0; j < kLshProjections; ++j) {
     const auto& plane = planes_[base + j];
     double dot = plane_offsets_[base + j];
     for (std::size_t d = 0; d < key.size(); ++d)
-      dot += plane[d] * key[d] * scale;
+      dot += plane[d] * key[d];
     const double scaled = dot / lsh_cell_width_;
     cells[j] = static_cast<std::int64_t>(std::floor(scaled));
     if (fracs != nullptr)
@@ -680,7 +673,7 @@ void ApproxCache::cells_of(std::size_t table, const std::vector<double>& key,
 std::uint64_t ApproxCache::hash_cells(std::size_t table,
                                       const std::int64_t* cells) const {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL * (table + 1);
-  for (std::size_t j = 0; j < cfg_.lsh_projections; ++j) {
+  for (std::size_t j = 0; j < kLshProjections; ++j) {
     std::uint64_t v = static_cast<std::uint64_t>(cells[j]);
     v *= 0xBF58476D1CE4E5B9ULL;
     v ^= v >> 31;
@@ -698,13 +691,13 @@ std::uint64_t ApproxCache::code_of(std::size_t table,
 
 void ApproxCache::index_add(std::size_t idx) {
   const Entry& e = entries_[idx];
-  for (std::size_t t = 0; t < cfg_.lsh_tables; ++t)
+  for (std::size_t t = 0; t < kLshTables; ++t)
     buckets_[t][e.codes[t]].push_back(idx);
 }
 
 void ApproxCache::index_remove(std::size_t idx) {
   const Entry& e = entries_[idx];
-  for (std::size_t t = 0; t < cfg_.lsh_tables; ++t) {
+  for (std::size_t t = 0; t < kLshTables; ++t) {
     auto it = buckets_[t].find(e.codes[t]);
     DS_CHECK(it != buckets_[t].end(), "LSH bucket missing on remove");
     auto& vec = it->second;
@@ -715,7 +708,7 @@ void ApproxCache::index_remove(std::size_t idx) {
 
 void ApproxCache::index_move(std::size_t from, std::size_t to) {
   const Entry& e = entries_[from];
-  for (std::size_t t = 0; t < cfg_.lsh_tables; ++t) {
+  for (std::size_t t = 0; t < kLshTables; ++t) {
     auto& vec = buckets_[t][e.codes[t]];
     *std::find(vec.begin(), vec.end(), from) = to;
   }

@@ -36,16 +36,16 @@
 // Lookup is either the exact O(N) linear scan (small caches) or a bucketed
 // ANN index — multi-table LSH over random hyperplane projections of the
 // style vector, p-stable quantized (each table buckets the key by its cell
-// in `lsh_projections` random projections). Probing is adaptive: the
+// in a fixed number of random projections). Probing is adaptive: the
 // cell width is tied to the *far* radius, and each table expands a
 // query-directed probe set (Lv et al.-style — neighbour cells ranked by
 // projection-space boundary distance) until the modelled expected recall
-// of a far_distance neighbour meets `lsh_target_recall` or a per-table
+// of a far_distance neighbour meets a fixed target (0.9) or a per-table
 // probe budget — auto-tuned from the observed candidates-per-probe yield
 // — runs out, which keeps recall flat across the hit radius instead of
 // decaying toward its far edge. The index is approximate (a
 // near-threshold neighbour in an unprobed bucket can be missed) but
-// fully deterministic: projections derive from `lsh_seed` and the budget
+// fully deterministic: projections derive from a fixed seed and the budget
 // tuner from the operation sequence alone, so two caches fed the same
 // operation sequence agree byte-for-byte, which is what keeps the DES and
 // threaded backends in lockstep.
@@ -78,11 +78,6 @@ enum class HitLevel { kMiss = 0, kExact = 1, kApproxNear = 2, kApproxFar = 3 };
 
 const char* to_string(HitLevel level);
 
-enum class SimilarityMetric {
-  kL2,      ///< Euclidean distance between style vectors
-  kCosine,  ///< 1 - cosine similarity (0 = parallel, 2 = opposed)
-};
-
 /// How lookups find the nearest cached neighbour.
 enum class IndexKind {
   /// Pick per capacity: the LSH index above `kAutoIndexThreshold` entries,
@@ -98,6 +93,12 @@ enum class IndexKind {
 
 /// kAuto switches from the scan to the LSH index above this capacity.
 inline constexpr std::size_t kAutoIndexThreshold = 4096;
+
+/// Independent LSH tables; a neighbour is found if any table buckets it
+/// with the query in one of its probed cells. Recall at a given distance
+/// approaches 1 geometrically in the table count — the tenth table is
+/// what holds the far-edge decile clear of its CI floor.
+inline constexpr std::size_t kLshTables = 10;
 
 /// How evict_one finds the LRU+popularity victim.
 enum class EvictionKind {
@@ -118,10 +119,8 @@ struct CacheConfig {
   bool enabled = false;
   /// Maximum number of cached entries.
   std::size_t capacity = 256;
-  SimilarityMetric metric = SimilarityMetric::kL2;
-  /// Distance thresholds for the hit tiers, in the chosen metric's units.
-  /// The defaults suit L2 over the synthetic workload's ~N(0,1)^6 style
-  /// vectors; cosine deployments want thresholds in [0, 2].
+  /// L2 distance thresholds between style vectors for the hit tiers. The
+  /// defaults suit the synthetic workload's ~N(0,1)^6 style vectors.
   double exact_distance = 1e-9;
   double near_distance = 1.0;
   double far_distance = 1.8;
@@ -147,40 +146,6 @@ struct CacheConfig {
   bool latent_levels = false;
   /// Lookup strategy; see IndexKind.
   IndexKind index_kind = IndexKind::kAuto;
-  /// Random hyperplane projections per LSH table: a table's bucket is the
-  /// quantized cell of the key under its projections. More projections
-  /// mean finer buckets (fewer candidates, lower per-table recall — each
-  /// extra table then wins most of it back). The default balances the
-  /// far-tuned adaptive cells: 12 projections of far-sized cells carry
-  /// about the candidate density 10 projections of near-sized cells did.
-  std::size_t lsh_projections = 12;
-  /// Independent LSH tables; a neighbour is found if any table buckets it
-  /// with the query in one of its probed cells. Recall at a given
-  /// distance approaches 1 geometrically in the table count — the tenth
-  /// table is what holds the far-edge decile clear of its CI floor.
-  std::size_t lsh_tables = 10;
-  /// Quantization cell width as a multiple of far_distance (so a
-  /// far-edge neighbour typically crosses at most a couple of cell
-  /// boundaries and the directed probe set can recover it).
-  double lsh_width_scale = 1.0;
-  /// Adaptive probing stops expanding once the modelled recall of a
-  /// neighbour at far_distance (across all tables) reaches this bound.
-  double lsh_target_recall = 0.9;
-  /// Per-table probe budget for adaptive probing, in units of expected
-  /// *candidate evaluations* (distance computations): the effective probe
-  /// count is this divided by the observed candidates-per-probe yield
-  /// (EWMA, deterministic), clamped to [2, 2x] probes — dense buckets
-  /// probe a handful of cells that already carry plenty of candidates,
-  /// sparse buckets fan out to 2x (cells there are near-free), and the
-  /// distance-computation work per lookup stays roughly flat either way.
-  /// The default is sized for the sparse regime's far edge: up to 2x96
-  /// probes per table hold far-decile recall comfortably over 0.9 of the
-  /// near decile's (fig11 Part 3a), while dense caches tune down to a
-  /// few probes regardless.
-  std::size_t lsh_probe_budget = 96;
-  /// Seed of the projection directions/offsets. Fixed per cache instance,
-  /// so both execution backends derive identical buckets.
-  std::uint64_t lsh_seed = 0xD1FF5EEDCAFEULL;
   /// Chain depth of the serving cascade (set by the engine). With latent
   /// levels, stages outside the donor's level mask run full steps, so the
   /// step fraction recorded into CacheStats — what the controller's
@@ -300,9 +265,8 @@ class ApproxCache {
   /// LSH-vs-scan equivalence tests).
   std::vector<quality::QueryId> cached_prompts() const;
 
-  /// Distance between two keys under the configured metric (exposed for
-  /// tests and threshold calibration). A degenerate (near-zero-norm)
-  /// vector under the cosine metric is similar to nothing: +infinity.
+  /// L2 distance between two keys (exposed for tests and threshold
+  /// calibration).
   double distance(const std::vector<double>& a,
                   const std::vector<double>& b) const;
 
@@ -436,7 +400,7 @@ class ApproxCache {
   std::vector<Entry> entries_;
   /// prompt -> entry index (keeps refresh O(1) at million-entry sizes).
   std::unordered_map<quality::QueryId, std::size_t> by_prompt_;
-  /// Projection directions, lsh_tables * lsh_projections of them, built
+  /// Projection directions, kLshTables x the projections per table, built
   /// lazily at the first key (the key dimension is not known at
   /// construction), plus one quantization offset each.
   std::vector<std::vector<double>> planes_;
@@ -459,12 +423,6 @@ class ApproxCache {
   /// Adaptive-probe frontier scratch (reused across lookups so the hot
   /// path never allocates).
   std::vector<ProbeSet> probe_frontier_;
-  /// Per-table expected-recall target: 1 - (1 - lsh_target_recall)^(1/T).
-  double table_recall_target_ = 1.0;
-  /// Projection-space span of far_distance (the chord for cosine): the
-  /// scale of the neighbour-shift model adaptive probing estimates
-  /// recall with.
-  double far_span_ = 0.0;
 };
 
 }  // namespace diffserve::cache

@@ -46,8 +46,8 @@
 namespace diffserve::cluster {
 
 struct ClusterControllerConfig {
-  /// The single-engine controller knobs (period, EWMAs, grids, cache
-  /// awareness) apply unchanged at cluster scope.
+  /// The single-engine controller settings (period, over-provisioning,
+  /// deferral cap, initial demand guess) apply unchanged at cluster scope.
   control::ControllerConfig control;
   /// Lag between polling shard stats and solving on them. 0 = inline.
   double gather_delay_seconds = 0.0;

@@ -53,7 +53,7 @@ ClusterControllerConfig cluster_controller_config(
 }
 
 FrontendConfig frontend_config(const ClusterRunConfig& cfg, double slo) {
-  FrontendConfig fcfg = cfg.frontend;
+  FrontendConfig fcfg;
   fcfg.slo_seconds = slo;
   fcfg.prompt_mix = cfg.prompt_mix;
   fcfg.record_terminal_events = cfg.record_terminal_events;
@@ -140,7 +140,8 @@ core::RunReport run_cluster_threaded(const core::CascadeEnvironment& env,
   DS_REQUIRE(trace.samples().size() >= 2, "run needs a trace");
   const double slo =
       cfg.slo_seconds > 0.0 ? cfg.slo_seconds : env.default_slo();
-  const double launch_slack = cfg.launch_slack_wall_seconds * cfg.time_scale;
+  const double launch_slack =
+      runtime::kLaunchSlackWallSeconds * cfg.time_scale;
 
   util::TraceClock clock(cfg.time_scale);
   std::vector<std::unique_ptr<runtime::ThreadedBackend>> backends;
@@ -162,8 +163,7 @@ core::RunReport run_cluster_threaded(const core::CascadeEnvironment& env,
   std::vector<std::unique_ptr<ShardNode>> nodes;
   nodes.reserve(engines.size());
   for (std::size_t s = 0; s < engines.size(); ++s) {
-    auto link =
-        cfg.tcp_transport ? net::make_tcp_link() : net::make_socketpair_link();
+    auto link = net::make_socketpair_link();
     nodes.push_back(std::make_unique<ShardNode>(
         static_cast<std::uint32_t>(s), *engines[s], std::move(link.second)));
     frontend.attach_shard(std::move(link.first));

@@ -7,7 +7,7 @@
 // and plan. The DES wires loopback links whose hop latency is modeled by
 // the simulator's event queue (hop_latency_seconds per one-way frame),
 // so fleet designs are testable at 10^6-query scale before a socket is
-// involved; the threaded runner uses real socketpair (or TCP) transports
+// involved; the threaded runner uses real AF_UNIX socketpair transports
 // with one reader thread per endpoint.
 //
 // This extends the paper's §4.3 DES-vs-testbed fidelity methodology to
@@ -19,10 +19,10 @@
 #include <cstdint>
 
 #include "cache/approx_cache.hpp"
-#include "cluster/shard_frontend.hpp"
 #include "control/allocator.hpp"
 #include "core/environment.hpp"
 #include "core/run_report.hpp"
+#include "engine/plan.hpp"
 #include "trace/arrivals.hpp"
 #include "trace/prompt_mix.hpp"
 #include "trace/rate_trace.hpp"
@@ -61,15 +61,9 @@ struct ClusterRunConfig {
   /// class-aware batching) and to the frontend (class draw + per-class
   /// deadline at admission).
   engine::SloClassConfig slo_classes;
-  /// Frontend routing knobs (slo/prompt_mix/record_terminal_events are
-  /// overwritten from the fields above).
-  FrontendConfig frontend;
 
   // --- threaded runner only ----------------------------------------------
   double time_scale = 30.0;
-  double launch_slack_wall_seconds = 0.004;
-  /// false = AF_UNIX socketpair links, true = TCP over 127.0.0.1.
-  bool tcp_transport = false;
 };
 
 /// Deterministic discrete-event run of the sharded topology. The report

@@ -10,6 +10,11 @@ namespace diffserve::cluster {
 
 namespace {
 
+/// Virtual nodes per shard on the hash ring; more = smoother key spread,
+/// marginally slower ring build (lookups stay O(log ring)).
+constexpr std::size_t kVirtualNodes = 64;
+constexpr std::uint64_t kHashSeed = 0x5ca1ab1edeadbeefULL;
+
 /// splitmix64 finalizer — the ring's point hash. Strong avalanche from a
 /// few mixing rounds; deterministic across platforms.
 std::uint64_t mix64(std::uint64_t x) {
@@ -27,7 +32,6 @@ ShardFrontend::ShardFrontend(const quality::Workload& workload,
     : cfg_(cfg),
       sampler_(workload.size(), cfg.prompt_mix),
       sink_(workload, scorer) {
-  DS_REQUIRE(cfg_.virtual_nodes > 0, "need at least one virtual node");
   sink_.set_record_terminal_events(cfg_.record_terminal_events);
 }
 
@@ -40,20 +44,20 @@ void ShardFrontend::attach_shard(std::unique_ptr<net::Endpoint> endpoint) {
   // members still take the lock so the discipline is uniform.
   util::MutexLock lock(mu_);
   inflight_.push_back(0);
-  // Rebuild the ring: virtual_nodes points per shard, keyed by
+  // Rebuild the ring: kVirtualNodes points per shard, keyed by
   // (shard, replica) under the seed. Deterministic for a given shard
   // count, independent of attach interleaving with traffic (attach-all-
   // then-serve is the contract).
   ring_.clear();
-  ring_.reserve(shards_.size() * static_cast<std::size_t>(cfg_.virtual_nodes));
+  ring_.reserve(shards_.size() * kVirtualNodes);
   // Vnode points live in the upper-half input domain ((s+1) << 32 is
   // always nonzero) while prompt keys hash from the 32-bit pid domain —
   // disjoint inputs, so no key ever lands exactly on a point (an exact
   // collision would pin that key to the colliding shard forever).
   for (std::uint32_t s = 0; s < shards_.size(); ++s)
-    for (int v = 0; v < cfg_.virtual_nodes; ++v)
+    for (std::size_t v = 0; v < kVirtualNodes; ++v)
       ring_.emplace_back(
-          mix64(cfg_.hash_seed ^ (std::uint64_t{s + 1} << 32) ^
+          mix64(kHashSeed ^ (std::uint64_t{s + 1} << 32) ^
                 static_cast<std::uint64_t>(v)),
           s);
   std::sort(ring_.begin(), ring_.end());
@@ -70,7 +74,7 @@ void ShardFrontend::stop_transports() {
 std::size_t ShardFrontend::hash_shard_locked(
     quality::QueryId prompt_id) const {
   DS_REQUIRE(!ring_.empty(), "route before any shard was attached");
-  const std::uint64_t h = mix64(cfg_.hash_seed ^ prompt_id);
+  const std::uint64_t h = mix64(kHashSeed ^ prompt_id);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), h,
       [](const std::pair<std::uint64_t, std::uint32_t>& e, std::uint64_t v) {
@@ -87,12 +91,12 @@ std::size_t ShardFrontend::route_locked(quality::QueryId prompt_id) const {
   // least loaded shard — hash affinity (and with it cache locality) wins
   // in the steady state, load wins under pathological skew.
   const std::uint64_t own_load = inflight_[owner];
-  if (own_load < cfg_.imbalance_min_inflight) return owner;
+  if (own_load < kImbalanceMinInflight) return owner;
   std::size_t least = 0;
   for (std::size_t s = 1; s < inflight_.size(); ++s)
     if (inflight_[s] < inflight_[least]) least = s;
   if (static_cast<double>(own_load) >
-      cfg_.imbalance_factor * static_cast<double>(inflight_[least] + 1))
+      kImbalanceFactor * static_cast<double>(inflight_[least] + 1))
     return least;
   return owner;
 }

@@ -47,21 +47,18 @@
 
 namespace diffserve::cluster {
 
+/// Least-loaded fallback triggers when the hash owner's in-flight count
+/// reaches this floor and exceeds kImbalanceFactor x (the cluster minimum
+/// + 1). The floor keeps cold-start noise (0 vs 1 queries) from defeating
+/// hash affinity; beyond it the fallback reacts quickly — shards are small
+/// (a few workers each), so even a handful of excess in-flight queries is
+/// real queueing, and hash affinity only pays while the owner can
+/// actually serve.
+constexpr std::uint64_t kImbalanceMinInflight = 4;
+constexpr double kImbalanceFactor = 1.25;
+
 struct FrontendConfig {
   double slo_seconds = 5.0;
-  /// Virtual nodes per shard on the hash ring; more = smoother key
-  /// spread, marginally slower ring build (lookups stay O(log ring)).
-  int virtual_nodes = 64;
-  std::uint64_t hash_seed = 0x5ca1ab1edeadbeefULL;
-  /// Least-loaded fallback triggers when the hash owner's in-flight count
-  /// exceeds both this floor and `imbalance_factor` x the cluster
-  /// minimum. The floor keeps cold-start noise (0 vs 1 queries) from
-  /// defeating hash affinity; beyond it the fallback reacts quickly —
-  /// shards are small (a few workers each), so even a handful of excess
-  /// in-flight queries is real queueing, and hash affinity only pays
-  /// while the owner can actually serve (fig12 sweeps this trade).
-  std::uint64_t imbalance_min_inflight = 4;
-  double imbalance_factor = 1.25;
   /// Forwarded to the sink (throughput-bench fast mode).
   bool record_terminal_events = true;
   /// Which prompt each frontend-admitted query carries; must match what a

@@ -9,6 +9,28 @@ namespace diffserve::control {
 
 namespace {
 
+/// Demand smoothing: the Holt level and trend weights, and how many
+/// control periods ahead to forecast demand — covers the observation +
+/// actuation lag so ramps do not leave the deeper pools underprovisioned.
+/// The per-class demand EWMAs share the level weight.
+constexpr double kDemandAlpha = 0.4;
+constexpr double kTrendBeta = 0.3;
+constexpr double kForecastHorizonPeriods = 2.0;
+/// Points on each boundary's threshold grid handed to the allocator.
+constexpr std::size_t kThresholdGridPoints = 51;
+/// Live confidence samples each boundary's online deferral profile keeps.
+constexpr std::size_t kOnlineProfileCapacity = 4000;
+/// The allocator inputs are discounted by the reuse cache's observed
+/// absorption: demand becomes lambda * (1 - h_exact) (exact hits never
+/// reach the chain) and per-stage service times scale by the cache's
+/// step-fraction savings (approx hits run fewer diffusion steps). The
+/// discount is estimated per hit *level* — separate near / far hit-share
+/// and step-fraction EWMAs, each smoothing its per-period samples with
+/// this weight — so with distance-interpolated fractions each level's
+/// discount tracks its actual interpolated mean rather than one pooled
+/// average. No-op while no observation has reported an enabled cache.
+constexpr double kCacheAlpha = 0.3;
+
 /// The single-engine plane: observes the engine directly and applies the
 /// plan to it.
 class EnginePlane final : public ServingPlane {
@@ -60,15 +82,14 @@ Controller::Controller(
     : plane_(std::move(plane)),
       allocator_(std::move(allocator)),
       cfg_(cfg),
-      demand_holt_(cfg.ewma_alpha, cfg.trend_beta),
-      class_demand_ewma_{{stats::Ewma(cfg.ewma_alpha),
-                          stats::Ewma(cfg.ewma_alpha),
-                          stats::Ewma(cfg.ewma_alpha)}},
-      cache_hit_ewma_(cfg.cache_alpha),
-      cache_near_share_ewma_(cfg.cache_alpha),
-      cache_far_share_ewma_(cfg.cache_alpha),
-      cache_near_frac_ewma_(cfg.cache_alpha),
-      cache_far_frac_ewma_(cfg.cache_alpha) {
+      demand_holt_(kDemandAlpha, kTrendBeta),
+      class_demand_ewma_{{stats::Ewma(kDemandAlpha), stats::Ewma(kDemandAlpha),
+                          stats::Ewma(kDemandAlpha)}},
+      cache_hit_ewma_(kCacheAlpha),
+      cache_near_share_ewma_(kCacheAlpha),
+      cache_far_share_ewma_(kCacheAlpha),
+      cache_near_frac_ewma_(kCacheAlpha),
+      cache_far_frac_ewma_(kCacheAlpha) {
   DS_REQUIRE(plane_ != nullptr, "controller needs a serving plane");
   DS_REQUIRE(allocator_ != nullptr, "controller needs an allocator");
   DS_REQUIRE(cfg_.period_seconds > 0.0, "control period must be positive");
@@ -76,7 +97,7 @@ Controller::Controller(
              "need one offline deferral profile per cascade boundary");
   profiles_.reserve(offline_profiles.size());
   for (auto& p : offline_profiles)
-    profiles_.emplace_back(std::move(p), cfg_.online_profile_capacity);
+    profiles_.emplace_back(std::move(p), kOnlineProfileCapacity);
 }
 
 void Controller::observe_confidence(std::size_t boundary, double confidence) {
@@ -147,7 +168,7 @@ AllocationInput Controller::allocation_input(const Observation& obs) const {
   in.stages.assign(n, {});
   in.boundary_grids.assign(ref.boundary_count(), {});
   // Forecast past the observation + actuation lag so ramps are covered.
-  in.demand_qps = demand_holt_.forecast(cfg_.forecast_horizon_periods);
+  in.demand_qps = demand_holt_.forecast(kForecastHorizonPeriods);
   in.over_provision = cfg_.over_provision;
   in.slo_seconds = plane_->slo_seconds();
   in.total_workers = plane_->total_workers();
@@ -201,27 +222,27 @@ AllocationInput Controller::allocation_input(const Observation& obs) const {
   {
     util::MutexLock lock(profile_mu_);
     for (std::size_t b = 0; b < profiles_.size(); ++b)
-      in.boundary_grids[b] = profiles_[b].grid(cfg_.threshold_grid_points,
+      in.boundary_grids[b] = profiles_[b].grid(kThresholdGridPoints,
                                                cfg_.max_deferral_fraction);
   }
   return in;
 }
 
 double Controller::effective_exact_hit_ratio() const {
-  if (!cache_on()) return 0.0;
+  if (!cache_seen_enabled_) return 0.0;
   return std::min(0.95, cache_hit_ewma_.value());
 }
 
 double Controller::effective_near_hit_ratio() const {
-  return cache_on() ? cache_near_share_ewma_.value() : 0.0;
+  return cache_seen_enabled_ ? cache_near_share_ewma_.value() : 0.0;
 }
 
 double Controller::effective_far_hit_ratio() const {
-  return cache_on() ? cache_far_share_ewma_.value() : 0.0;
+  return cache_seen_enabled_ ? cache_far_share_ewma_.value() : 0.0;
 }
 
 double Controller::effective_service_discount() const {
-  if (!cache_on()) return 1.0;
+  if (!cache_seen_enabled_) return 1.0;
   // Each hit level contributes its own smoothed share x smoothed savings
   // (1 - mean step fraction): with interpolated fractions the near and
   // far means drift apart, and one pooled mean would misattribute the
@@ -238,7 +259,7 @@ double Controller::effective_service_discount() const {
 
 void Controller::observe_cache(const Observation& obs) {
   if (obs.cache_enabled) cache_seen_enabled_ = true;
-  if (!cache_on()) return;
+  if (!cache_seen_enabled_) return;
   const cache::CacheStats& stats = obs.cache;
   const std::uint64_t lookups = stats.lookups - last_cache_stats_.lookups;
   if (lookups > 0) {

@@ -35,35 +35,16 @@ namespace diffserve::control {
 
 struct ControllerConfig {
   double period_seconds = 5.0;
-  double ewma_alpha = 0.4;
-  /// Trend smoothing (Holt) and how many control periods ahead to
-  /// forecast demand — covers the observation + actuation lag so ramps do
-  /// not leave the deeper pools underprovisioned.
-  double trend_beta = 0.3;
-  double forecast_horizon_periods = 2.0;
   double over_provision = 1.05;  ///< lambda (§3.3)
-  std::size_t threshold_grid_points = 51;
   /// Cap on the planned deferral fraction at each boundary: past the
   /// served-quality optimum (~50% deferral in Figure 1a), deferring
   /// confidently-good outputs wastes downstream capacity and *worsens*
   /// FID, so the plan never pushes deferral far beyond the optimum even
   /// with idle capacity.
   double max_deferral_fraction = 0.55;
-  std::size_t online_profile_capacity = 4000;
   /// Apply a plan immediately at start() using this demand guess (QPS);
   /// <= 0 derives it from the first observation instead.
   double initial_demand_guess = 4.0;
-  /// Discount allocator inputs by the reuse cache's observed absorption:
-  /// demand becomes lambda * (1 - h_exact) (exact hits never reach the
-  /// chain) and per-stage service times scale by the cache's step-fraction
-  /// savings (approx hits run fewer diffusion steps). The discount is
-  /// estimated per hit *level* — separate near / far hit-share and
-  /// step-fraction EWMAs — so with distance-interpolated fractions each
-  /// level's discount tracks its actual interpolated mean rather than one
-  /// pooled average. No-op when the engine's cache is disabled.
-  bool cache_aware = true;
-  /// EWMA smoothing of the per-period hit-ratio / step-fraction samples.
-  double cache_alpha = 0.3;
 };
 
 /// One control period's view of the serving plane.
@@ -127,7 +108,7 @@ class Controller {
     double observed_demand = 0.0;
     double recent_violation_ratio = 0.0;
     /// Smoothed exact-hit ratio the demand estimate was discounted by
-    /// (0 with the cache off or cache_aware disabled).
+    /// (0 with the cache off).
     double cache_exact_hit_ratio = 0.0;
     /// Smoothed per-level hit shares of the traffic that still reaches the
     /// chain (0 with the cache off).
@@ -161,24 +142,21 @@ class Controller {
   /// the hit-ratio / step-fraction EWMAs.
   void observe_cache(const Observation& obs);
   /// Smoothed exact-hit ratio used to discount demand, capped below 1 so
-  /// a fully-absorbing cache never plans zero capacity (0 when not
-  /// cache-aware).
+  /// a fully-absorbing cache never plans zero capacity (0 with the cache
+  /// off).
   double effective_exact_hit_ratio() const;
-  /// Smoothed per-stage service-time multiplier (1 when not cache-aware):
+  /// Smoothed per-stage service-time multiplier (1 with the cache off):
   /// 1 - near_share*(1 - near_fraction) - far_share*(1 - far_fraction),
   /// each factor its own EWMA.
   double effective_service_discount() const;
-  /// Smoothed near/far hit share of non-exact traffic (0 when not
-  /// cache-aware).
+  /// Smoothed near/far hit share of non-exact traffic (0 with the cache
+  /// off).
   double effective_near_hit_ratio() const;
   double effective_far_hit_ratio() const;
 
   engine::ExecutionBackend& backend() const {
     return plane_->reference().backend();
   }
-  /// Whether the cache-aware discounts apply: cache awareness is on and
-  /// some observation has reported an enabled cache.
-  bool cache_on() const { return cfg_.cache_aware && cache_seen_enabled_; }
 
   std::unique_ptr<ServingPlane> plane_;
   std::unique_ptr<Allocator> allocator_;
@@ -206,8 +184,9 @@ class Controller {
   stats::Ewma cache_near_frac_ewma_;
   stats::Ewma cache_far_frac_ewma_;
   cache::CacheStats last_cache_stats_;
-  /// Sticky: a cluster's shards may not all have replied to the first
-  /// stats request.
+  /// Whether the cache discounts apply: some observation has reported an
+  /// enabled cache. Sticky: a cluster's shards may not all have replied to
+  /// the first stats request.
   bool cache_seen_enabled_ = false;
   bool first_tick_ = true;
   /// Absolute time of the most recently scheduled tick; the chain anchors

@@ -33,6 +33,14 @@ const std::vector<Approach>& comparison_approaches() {
 
 namespace {
 
+/// Fixed operating point for DiffServe-Static / the static-threshold
+/// ablation, expressed as a deferral fraction; the matching confidence
+/// threshold comes from the offline profile (f^{-1}). A static system must
+/// pick one operating point for all loads; even a peak-conscious choice
+/// under-serves when demand exceeds the provisioning assumption and
+/// under-delivers quality the rest of the time (§4.3).
+constexpr double kStaticDeferralFraction = 0.25;
+
 std::unique_ptr<control::Allocator> make_allocator(
     const CascadeEnvironment& env, const RunConfig& cfg) {
   using control::Allocator;
@@ -40,7 +48,7 @@ std::unique_ptr<control::Allocator> make_allocator(
   // approaches need the fixed operating point.
   const auto static_threshold = [&] {
     return env.offline_profile().threshold_for_fraction(
-        cfg.static_deferral_fraction);
+        kStaticDeferralFraction);
   };
   switch (cfg.approach) {
     case Approach::kDiffServe:
@@ -88,7 +96,6 @@ RunReport run_experiment(const CascadeEnvironment& env, const RunConfig& cfg) {
                                 sys_cfg);
 
   control::ControllerConfig ctrl_cfg = cfg.controller;
-  ctrl_cfg.over_provision = cfg.over_provision;
   if (ctrl_cfg.initial_demand_guess <= 0.0)
     ctrl_cfg.initial_demand_guess = cfg.trace.qps_at(0.0);
   control::Controller controller(system.engine(), make_allocator(env, cfg),

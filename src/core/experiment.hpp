@@ -38,14 +38,6 @@ struct RunConfig {
   int total_workers = 16;
   /// Negative = use the cascade's default SLO.
   double slo_seconds = -1.0;
-  /// Fixed operating point for DiffServe-Static / the static-threshold
-  /// ablation, expressed as a deferral fraction; the matching confidence
-  /// threshold comes from the offline profile (f^{-1}). A static system
-  /// must pick one operating point for all loads; even a peak-conscious
-  /// choice under-serves when demand exceeds the provisioning assumption
-  /// and under-delivers quality the rest of the time (§4.3).
-  double static_deferral_fraction = 0.25;
-  double over_provision = 1.05;
   control::ControllerConfig controller;
   serving::SystemConfig system;  ///< total_workers/slo overridden from above
   trace::RateTrace trace;        ///< must be set

@@ -7,9 +7,58 @@
 
 namespace diffserve::discriminator {
 
+namespace {
+
+/// Fewest samples a profile is built from.
+constexpr std::size_t kMinProfileSamples = 10;
+
+// The profile math over an ascending sample window, shared by the offline
+// profile and the online window so reads of either never copy it.
+
+double fraction_below(const std::vector<double>& sorted, double threshold) {
+  // Deferred iff confidence < t (strict, per §3.2: meeting the threshold
+  // returns the image).
+  const auto it = std::lower_bound(sorted.begin(), sorted.end(), threshold);
+  return static_cast<double>(it - sorted.begin()) /
+         static_cast<double>(sorted.size());
+}
+
+double threshold_at(const std::vector<double>& sorted,
+                    double target_fraction) {
+  DS_REQUIRE(target_fraction >= 0.0 && target_fraction <= 1.0,
+             "fraction outside [0,1]");
+  // Largest t with f(t) <= target: f jumps at each sample, so the answer
+  // is the sample at index floor(target * n) (or 1.0 past the end).
+  const auto idx = static_cast<std::size_t>(
+      target_fraction * static_cast<double>(sorted.size()));
+  if (idx >= sorted.size()) return 1.0;
+  return sorted[idx];
+}
+
+std::vector<DeferralProfile::GridPoint> grid_of(
+    const std::vector<double>& sorted, std::size_t n, double max_fraction) {
+  DS_REQUIRE(n >= 2, "grid needs at least two points");
+  DS_REQUIRE(max_fraction > 0.0 && max_fraction <= 1.0,
+             "max_fraction outside (0,1]");
+  std::vector<DeferralProfile::GridPoint> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double target = max_fraction * static_cast<double>(i) /
+                          static_cast<double>(n - 1);
+    const double t = threshold_at(sorted, target);
+    const double f = fraction_below(sorted, t);
+    if (!out.empty() && std::fabs(out.back().threshold - t) < 1e-12) continue;
+    out.push_back({t, f});
+  }
+  return out;
+}
+
+}  // namespace
+
 DeferralProfile::DeferralProfile(std::vector<double> confidences)
     : sorted_(std::move(confidences)) {
-  DS_REQUIRE(sorted_.size() >= 10, "too few samples for a deferral profile");
+  DS_REQUIRE(sorted_.size() >= kMinProfileSamples,
+             "too few samples for a deferral profile");
   for (double c : sorted_)
     DS_REQUIRE(c >= 0.0 && c <= 1.0, "confidence outside [0,1]");
   if (!std::is_sorted(sorted_.begin(), sorted_.end()))
@@ -29,41 +78,16 @@ DeferralProfile DeferralProfile::profile(const quality::Workload& workload,
 }
 
 double DeferralProfile::fraction_deferred(double threshold) const {
-  // Deferred iff confidence < t (strict, per §3.2: meeting the threshold
-  // returns the image).
-  const auto it =
-      std::lower_bound(sorted_.begin(), sorted_.end(), threshold);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
+  return fraction_below(sorted_, threshold);
 }
 
 double DeferralProfile::threshold_for_fraction(double target_fraction) const {
-  DS_REQUIRE(target_fraction >= 0.0 && target_fraction <= 1.0,
-             "fraction outside [0,1]");
-  // Largest t with f(t) <= target: f jumps at each sample, so the answer
-  // is the sample at index floor(target * n) (or 1.0 past the end).
-  const auto idx = static_cast<std::size_t>(
-      target_fraction * static_cast<double>(sorted_.size()));
-  if (idx >= sorted_.size()) return 1.0;
-  return sorted_[idx];
+  return threshold_at(sorted_, target_fraction);
 }
 
 std::vector<DeferralProfile::GridPoint> DeferralProfile::grid(
     std::size_t n, double max_fraction) const {
-  DS_REQUIRE(n >= 2, "grid needs at least two points");
-  DS_REQUIRE(max_fraction > 0.0 && max_fraction <= 1.0,
-             "max_fraction outside (0,1]");
-  std::vector<GridPoint> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double target = max_fraction * static_cast<double>(i) /
-                          static_cast<double>(n - 1);
-    const double t = threshold_for_fraction(target);
-    const double f = fraction_deferred(t);
-    if (!out.empty() && std::fabs(out.back().threshold - t) < 1e-12) continue;
-    out.push_back({t, f});
-  }
-  return out;
+  return grid_of(sorted_, n, max_fraction);
 }
 
 OnlineDeferralProfile::OnlineDeferralProfile(DeferralProfile offline,
@@ -72,6 +96,8 @@ OnlineDeferralProfile::OnlineDeferralProfile(DeferralProfile offline,
     : offline_(std::move(offline)),
       ring_(window_capacity),
       min_samples_(min_samples) {
+  DS_REQUIRE(min_samples >= kMinProfileSamples,
+             "too few samples for a deferral profile");
   DS_REQUIRE(window_capacity >= min_samples,
              "window capacity below activation threshold");
 }
@@ -128,19 +154,17 @@ void OnlineDeferralProfile::sync() const {
   evicted_.clear();
 }
 
-DeferralProfile OnlineDeferralProfile::current() const {
-  if (count_ < min_samples_) return offline_;
-  sync();
-  return DeferralProfile(sorted_);
-}
-
 double OnlineDeferralProfile::fraction_deferred(double threshold) const {
-  return current().fraction_deferred(threshold);
+  if (count_ < min_samples_) return offline_.fraction_deferred(threshold);
+  sync();
+  return fraction_below(sorted_, threshold);
 }
 
 std::vector<DeferralProfile::GridPoint> OnlineDeferralProfile::grid(
     std::size_t n, double max_fraction) const {
-  return current().grid(n, max_fraction);
+  if (count_ < min_samples_) return offline_.grid(n, max_fraction);
+  sync();
+  return grid_of(sorted_, n, max_fraction);
 }
 
 }  // namespace diffserve::discriminator

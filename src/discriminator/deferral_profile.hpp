@@ -64,8 +64,9 @@ class DeferralProfile {
 /// logs and merges them into the kept sorted window in one linear pass
 /// (a full sort once the logs together reach the window's capacity). The
 /// window is the same multiset either way, so every read equals a fresh
-/// sort of the ring. Reads update that cache, so concurrent calls need
-/// external locking (the controller holds its profile mutex).
+/// sort of the ring. Reads use the synced window in place and update that
+/// cache, so concurrent calls need external locking (the controller holds
+/// its profile mutex).
 class OnlineDeferralProfile {
  public:
   OnlineDeferralProfile(DeferralProfile offline, std::size_t window_capacity,
@@ -78,7 +79,6 @@ class OnlineDeferralProfile {
   std::size_t live_samples() const { return count_; }
 
  private:
-  DeferralProfile current() const;
   /// Bring sorted_ up to the ring's contents.
   void sync() const;
 

@@ -8,6 +8,16 @@
 
 namespace diffserve::engine {
 
+namespace {
+
+/// Stage-i reserve = this factor * sum of downstream stages' batch
+/// execution times: the time kept in the stage deadline for the rest of
+/// the chain should the query be deferred (generalizes the two-stage heavy
+/// reserve e_heavy(b2)).
+constexpr double kReserveFactor = 1.25;
+
+}  // namespace
+
 CascadeEngine::CascadeEngine(
     ExecutionBackend& backend, const quality::Workload& workload,
     const models::ModelRepository& repo, const models::CascadeSpec& cascade,
@@ -134,7 +144,7 @@ void CascadeEngine::apply(const AllocationPlan& plan) {
     for (std::size_t s = n - 1; s-- > 0;) {
       reserve_[s] = reserve_[s + 1];
       if (quota[s + 1] > 0)
-        reserve_[s] += cfg_.heavy_reserve_factor *
+        reserve_[s] += kReserveFactor *
                        stage_exec_latency(s + 1, plan.batches[s + 1]);
     }
   }
@@ -386,14 +396,14 @@ void CascadeEngine::enqueue_locked(WorkerSlot& w, Query q) {
     cls = static_cast<std::size_t>(q.query_class);
     const std::size_t cap = cfg_.slo_classes.queue_capacity[cls];
     if (cap > 0 && w.queues[cls].size() >= cap) {
-      // Per-class overflow, util::OverflowPolicy semantics:
-      //   interactive — kDropOldest: the freshest request wins (a stale
-      //     interactive query is already worthless to its user);
-      //   standard — kBlock rendered as admission backpressure: a
-      //     data-path queue cannot literally block the DES, so the
-      //     arriving query is rejected at the door;
-      //   batch — kDropNewest: reject the arrival, but work already
-      //     admitted to the batch queue is never shed.
+      // Per-class overflow:
+      //   interactive — drop the oldest queued query: the freshest
+      //     request wins (a stale interactive query is already worthless
+      //     to its user);
+      //   standard — admission backpressure: a data-path queue cannot
+      //     block the DES, so the arriving query is rejected at the door;
+      //   batch — reject the arrival, but work already admitted to the
+      //     batch queue is never shed.
       ++class_admission_drops_[cls];
       if (q.query_class == QueryClass::kInteractive) {
         Query oldest = std::move(w.queues[cls].front().query);

@@ -4,9 +4,8 @@
 // AllocationPlan is what one §3.3 control decision materializes to:
 // per-stage worker and batch-size vectors plus one confidence threshold
 // per cascade boundary, each indexed by stage (or boundary) number.
-// EngineConfig is everything the engine is constructed with — SLO, reserve
-// factor, launch slack, the prompt-popularity mix, and the embedded
-// cache::CacheConfig.
+// EngineConfig is everything the engine is constructed with — SLO, launch
+// slack, the prompt-popularity mix, and the embedded cache::CacheConfig.
 //
 // Determinism requirement: both are plain value types with no hidden
 // state; applying the same plan to engines holding the same state must
@@ -79,12 +78,11 @@ struct SloClassConfig {
   bool enabled = false;
   /// Per-class deadline = arrival + slo_seconds * deadline_multiplier[c].
   std::array<double, kQueryClassCount> deadline_multiplier{0.4, 1.0, 8.0};
-  /// Per-class, per-worker admission queue capacity (0 = unbounded).
-  /// Overflow follows util::OverflowPolicy semantics per class:
-  /// interactive = kDropOldest (freshest work wins), standard = kBlock
-  /// rendered as admission backpressure (the arriving query is rejected —
-  /// a data-path queue cannot literally block the DES), batch =
-  /// kDropNewest (reject the arrival; queued batch work is never shed).
+  /// Per-class, per-worker admission queue capacity (0 = unbounded). On
+  /// overflow an interactive arrival displaces the oldest queued
+  /// interactive query (the freshest work wins); a standard or batch
+  /// arrival is rejected at the door, so queued standard and batch work is
+  /// never shed.
   std::array<std::size_t, kQueryClassCount> queue_capacity{64, 256, 4096};
   /// Controller-side SLO objective weights (interactive > standard >
   /// batch): the effective SLO fed to the allocators is the weighted
@@ -110,11 +108,6 @@ struct EngineConfig {
   int total_workers = 16;
   double slo_seconds = 5.0;
   double model_load_delay = 1.0;
-  /// Stage-i reserve = factor * sum of downstream stages' batch execution
-  /// times: the time kept in the stage deadline for the rest of the chain
-  /// should the query be deferred (generalizes the two-stage heavy
-  /// reserve e_heavy(b2)).
-  double heavy_reserve_factor = 1.25;
   /// Arm under-filled batch timers this long (trace seconds) before the
   /// last feasible launch instant. The DES fires timers exactly on time
   /// and leaves this 0; wall-clock backends set it to their scheduling

@@ -265,16 +265,15 @@ core::RunReport run_threaded(const core::CascadeEnvironment& env,
       cfg.slo_seconds > 0.0 ? cfg.slo_seconds : env.default_slo();
 
   util::TraceClock clock(cfg.time_scale);
-  ThreadedBackend backend(clock, cfg.total_workers, cfg.pin_executors);
+  ThreadedBackend backend(clock, cfg.total_workers);
 
   engine::EngineConfig ecfg;
   ecfg.total_workers = cfg.total_workers;
   ecfg.slo_seconds = slo;
   ecfg.model_load_delay = cfg.model_load_delay;
-  ecfg.heavy_reserve_factor = cfg.heavy_reserve_factor;
   // Wall-clock timer jitter scales with the time compression; absorb it so
   // deadline-boundary batches launch in time (the DES needs no slack).
-  ecfg.launch_slack_seconds = cfg.launch_slack_wall_seconds * cfg.time_scale;
+  ecfg.launch_slack_seconds = kLaunchSlackWallSeconds * cfg.time_scale;
   ecfg.record_terminal_events = cfg.record_terminal_events;
   ecfg.cache = cfg.cache;
   ecfg.prompt_mix = cfg.prompt_mix;

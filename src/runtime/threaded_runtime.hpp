@@ -150,7 +150,7 @@ class ThreadedBackend final : public engine::ExecutionBackend {
   /// callback map live on the timer thread's stack frame. The park
   /// mutexes guard no data (lost wakeups are bounded by the capped
   /// waits), so no members are DS_GUARDED_BY them.
-  util::MpscRing<TimerMsg> timer_inbox_{1024, util::OverflowPolicy::kBlock};
+  util::MpscRing<TimerMsg> timer_inbox_{1024};
   std::atomic<std::uint64_t> next_id_{1};
   util::Mutex timer_park_mu_;
   util::CondVar timer_park_cv_;
@@ -159,8 +159,7 @@ class ThreadedBackend final : public engine::ExecutionBackend {
   std::vector<std::unique_ptr<Executor>> executors_;
 
   /// Offloaded control work (see offload()).
-  util::MpscRing<std::function<void()>> control_jobs_{
-      64, util::OverflowPolicy::kBlock};
+  util::MpscRing<std::function<void()>> control_jobs_{64};
   util::Mutex control_park_mu_;
   util::CondVar control_park_cv_;
   std::thread control_thread_;
@@ -175,6 +174,12 @@ class ThreadedBackend final : public engine::ExecutionBackend {
   std::atomic<bool> timer_busy_{false};
 };
 
+/// Batch timers on a wall-clock backend are armed this much wall time
+/// early (scaled into trace seconds by the time compression) to absorb OS
+/// scheduling jitter. Shared by run_threaded and the threaded cluster
+/// runner.
+constexpr double kLaunchSlackWallSeconds = 0.004;
+
 struct RuntimeConfig {
   int total_workers = 8;
   /// Negative = cascade default.
@@ -182,16 +187,10 @@ struct RuntimeConfig {
   /// Wall-clock compression: 30 = a 300 s trace takes 10 s to replay.
   double time_scale = 30.0;
   double control_period = 5.0;       ///< trace seconds
-  double heavy_reserve_factor = 1.25;
   double max_deferral_fraction = 0.55;
   double over_provision = 1.05;
   double model_load_delay = 1.0;     ///< trace seconds
-  /// Batch timers are armed this much wall time early (scaled into trace
-  /// seconds by time_scale) to absorb OS scheduling jitter.
-  double launch_slack_wall_seconds = 0.004;
   std::uint64_t arrival_seed = 1;
-  /// Pin executor threads to CPUs (Linux; no-op elsewhere).
-  bool pin_executors = false;
   /// Forwarded to the metrics sink: false skips per-query terminal
   /// records (throughput-bench fast mode); aggregates stay exact, the
   /// report's FID is -1 and its timeline empty.

@@ -8,11 +8,9 @@
 //     give successive pushes the same happens-before chain a single thread
 //     would.
 //   * MpscRing  — bounded multi-producer ring (Vyukov-style sequence
-//     cells) with a configurable overflow policy: block the producer,
-//     drop the oldest undelivered item, or drop the incoming one — the
-//     REALTIME / TRANSACTIONAL / BATCH split of event-stream systems.
-//     Used for the threaded backend's timer inbox and control queue, where
-//     producers are arbitrary threads.
+//     cells) whose push blocks the producer while the ring is full, so
+//     nothing is ever lost. Used for the threaded backend's timer inbox
+//     and control queue, where producers are arbitrary threads.
 //   * RingDeque — single-threaded growable power-of-two ring, a
 //     std::deque replacement for the engine's per-worker query queues:
 //     contiguous recycled storage, so steady-state enqueue/dequeue touches
@@ -39,13 +37,6 @@ inline std::size_t ceil_pow2(std::size_t n) {
   while (c < n) c <<= 1;
   return c;
 }
-
-/// What a bounded multi-producer ring does when a push finds it full.
-enum class OverflowPolicy {
-  kBlock,       ///< spin/yield until a slot frees (nothing is ever lost)
-  kDropOldest,  ///< discard the oldest undelivered item, keep the new one
-  kDropNewest,  ///< discard the incoming item (push returns false)
-};
 
 /// Wait-free SPSC ring. One thread (or an externally serialized set of
 /// threads) pushes; one thread (or serialized set) pops. try_push fails
@@ -102,18 +93,14 @@ class SpscRing {
 
 /// Bounded multi-producer ring over per-cell sequence counters. Producers
 /// claim cells with a CAS on the enqueue cursor; the consumer releases
-/// them a lap later. The data path is lock-free; only the kBlock policy
-/// ever waits (yielding, no mutex). kDropOldest pops and discards the
-/// oldest undelivered item to admit the new one — safe from the producer
-/// side because the cell protocol supports concurrent consumers.
+/// them a lap later. The data path is lock-free; only a push onto a full
+/// ring waits (yielding, no mutex).
 template <typename T>
 class MpscRing {
  public:
-  explicit MpscRing(std::size_t capacity,
-                    OverflowPolicy policy = OverflowPolicy::kBlock)
+  explicit MpscRing(std::size_t capacity)
       : mask_(ceil_pow2(capacity < 2 ? 2 : capacity) - 1),
-        cells_(new Cell[mask_ + 1]),
-        policy_(policy) {
+        cells_(new Cell[mask_ + 1]) {
     for (std::size_t i = 0; i <= mask_; ++i)
       cells_[i].seq.store(i, std::memory_order_relaxed);
   }
@@ -122,33 +109,10 @@ class MpscRing {
   MpscRing& operator=(const MpscRing&) = delete;
 
   std::size_t capacity() const { return mask_ + 1; }
-  OverflowPolicy policy() const { return policy_; }
-  /// Items discarded by kDropOldest / kDropNewest overflow handling.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Push under the ring's overflow policy. Returns false only under
-  /// kDropNewest on a full ring (the incoming item was discarded).
-  bool push(T v) {
-    for (;;) {
-      if (try_push_once(v)) return true;
-      // Full. Policy decides who loses.
-      switch (policy_) {
-        case OverflowPolicy::kBlock:
-          std::this_thread::yield();
-          break;
-        case OverflowPolicy::kDropOldest: {
-          T victim;
-          if (try_pop(victim))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-          break;  // victim destroyed; retry the push
-        }
-        case OverflowPolicy::kDropNewest:
-          dropped_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-      }
-    }
+  /// Push, yielding while the ring is full until the consumer frees a
+  /// slot.
+  void push(T v) {
+    while (!try_push_once(v)) std::this_thread::yield();
   }
 
   bool try_pop(T& out) {
@@ -209,8 +173,6 @@ class MpscRing {
 
   const std::size_t mask_;
   std::unique_ptr<Cell[]> cells_;
-  const OverflowPolicy policy_;
-  std::atomic<std::uint64_t> dropped_{0};
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
 };

@@ -104,23 +104,6 @@ TEST(ApproxCache, ReinsertKeepsHigherTier) {
   EXPECT_EQ(r.donor_tier, 5);  // the lighter re-serve did not downgrade it
 }
 
-TEST(ApproxCache, CosineMetricIgnoresMagnitude) {
-  CacheConfig cfg = small_config();
-  cfg.metric = SimilarityMetric::kCosine;
-  cfg.exact_distance = 1e-9;
-  cfg.near_distance = 0.3;
-  cfg.far_distance = 1.0;
-  ApproxCache cache(cfg);
-  cache.insert(1, 1, 0, {1.0, 0.0, 0.0}, 0.0);
-  // Parallel but scaled: cosine distance 0 -> exact.
-  EXPECT_EQ(cache.lookup({5.0, 0.0, 0.0}, 1.0).level, HitLevel::kExact);
-  // Orthogonal: cosine distance 1 -> far tier.
-  EXPECT_EQ(cache.lookup({0.0, 1.0, 0.0}, 2.0).level,
-            HitLevel::kApproxFar);
-  // Opposed: cosine distance 2 -> miss.
-  EXPECT_EQ(cache.lookup({-1.0, 0.0, 0.0}, 3.0).level, HitLevel::kMiss);
-}
-
 TEST(ApproxCache, DeterministicAcrossInstances) {
   // The cache has no internal randomness: two instances fed the same
   // operation sequence report identical stats (the property that keeps
@@ -141,22 +124,6 @@ TEST(ApproxCache, DeterministicAcrossInstances) {
   EXPECT_EQ(a.stats().far_hits, b.stats().far_hits);
   EXPECT_EQ(a.stats().evictions, b.stats().evictions);
   EXPECT_EQ(a.size(), b.size());
-}
-
-TEST(ApproxCache, DegenerateCosineVectorMatchesNothing) {
-  // A near-zero-norm vector has no direction. The old code returned a
-  // placeholder distance of 1.0, which far_distance >= 1 silently
-  // classified as an approx-far hit.
-  CacheConfig cfg = small_config();
-  cfg.metric = SimilarityMetric::kCosine;
-  cfg.near_distance = 0.5;
-  cfg.far_distance = 1.9;  // wide: would swallow the old placeholder
-  ApproxCache cache(cfg);
-  cache.insert(1, 1, 0, {1.0, 0.0, 0.0}, 0.0);
-  EXPECT_TRUE(std::isinf(cache.distance({0.0, 0.0, 0.0}, {1.0, 0.0, 0.0})));
-  const auto r = cache.lookup({0.0, 0.0, 0.0}, 1.0);
-  EXPECT_EQ(r.level, HitLevel::kMiss);
-  EXPECT_EQ(r.step_fraction, 1.0);
 }
 
 TEST(ApproxCache, ReinsertRefreshesKey) {
@@ -256,35 +223,6 @@ TEST(ApproxCache, StatsWeightStepFractionByStageCoverage) {
               (cfg.near_step_fraction + 1.0) / 2.0, 1e-12);
 }
 
-TEST(ApproxCache, LshIndexRespectsCosineMetric) {
-  // Cosine distance is magnitude-invariant; the index must bucket by
-  // direction or a scaled duplicate (cosine distance 0) lands in distant
-  // cells and the indexed lookup misses a hit the scan finds.
-  CacheConfig cfg = small_config();
-  cfg.metric = SimilarityMetric::kCosine;
-  cfg.exact_distance = 1e-9;
-  cfg.near_distance = 0.3;
-  cfg.far_distance = 1.0;
-  cfg.index_kind = IndexKind::kLsh;
-  ApproxCache cache(cfg);
-  cache.insert(1, 1, 0, {1.0, 0.0, 0.0}, 0.0);
-  cache.insert(2, 1, 0, {0.0, 2.0, 0.0}, 1.0);
-  const auto r = cache.lookup({5.0, 0.0, 0.0}, 2.0);  // parallel, scaled
-  EXPECT_EQ(r.level, HitLevel::kExact);
-  EXPECT_EQ(r.donor_prompt, 1u);
-  // Orthogonal-but-scaled still classifies by direction.
-  EXPECT_EQ(cache.lookup({0.0, 0.1, 0.0}, 3.0).donor_prompt, 2u);
-  // A near (not exact) neighbour: cosine distance 0.02 is a chord of
-  // 0.2 — a quarter cell under the chord-sized width, which the raw
-  // near_distance-sized cells (0.3 cosine units) would have scattered
-  // across several cells per projection.
-  const double c = 0.98, s = std::sqrt(1.0 - 0.98 * 0.98);
-  const auto near = cache.lookup({5.0 * c, 5.0 * s, 0.0}, 4.0);
-  EXPECT_EQ(near.level, HitLevel::kApproxNear);
-  EXPECT_EQ(near.donor_prompt, 1u);
-  EXPECT_NEAR(near.distance, 0.02, 1e-12);
-}
-
 TEST(Query, StepFractionAtRespectsLevelMask) {
   engine::Query q;
   q.cache_step_fraction = 0.3;
@@ -306,12 +244,6 @@ TEST(ApproxCache, RejectsBadConfig) {
   cfg.near_distance = 3.0;  // near > far
   EXPECT_THROW(ApproxCache{cfg}, std::invalid_argument);
   cfg = small_config();
-  cfg.lsh_target_recall = 1.0;  // unreachable bound would never stop
-  EXPECT_THROW(ApproxCache{cfg}, std::invalid_argument);
-  cfg = small_config();
-  cfg.lsh_probe_budget = 0;
-  EXPECT_THROW(ApproxCache{cfg}, std::invalid_argument);
-  cfg = small_config();
   cfg.near_step_fraction = 0.0;
   EXPECT_THROW(ApproxCache{cfg}, std::invalid_argument);
   cfg = small_config();
@@ -327,8 +259,7 @@ TEST(ApproxCache, RejectsBadConfig) {
 
 /// Independent reimplementation of the PR-3 terminal-image cache — linear
 /// scan, tiered constant step fractions, LRU+popularity eviction — plus
-/// the two intended bugfixes (key refresh on re-insert; degenerate
-/// distance handled by the shared distance()). Pins the interpolation-off
+/// the intended key-refresh fix on re-insert. Pins the interpolation-off
 /// mode of the real cache: with interpolation, latent levels, and the
 /// index all disabled, ApproxCache must reproduce this reference exactly,
 /// operation for operation.
@@ -341,7 +272,7 @@ struct Pr3ReferenceCache {
     double last_used = 0.0;
     std::uint64_t order = 0;
   };
-  const ApproxCache& metric;  // borrow distance() so the metric is shared
+  const ApproxCache& metric;  // borrow distance() so both measure alike
   CacheConfig cfg;
   std::vector<Entry> entries;
   std::uint64_t next_order = 0;
@@ -689,7 +620,7 @@ TEST(ApproxCache, AdaptiveProbingRecoversFarEdgeRecall) {
   // cell of each table (sparse buckets expand the yield-tuned budget) and
   // the counters expose it.
   EXPECT_GT(adaptive.stats().mean_probed_cells(),
-            static_cast<double>(adaptive_cfg.lsh_tables));
+            static_cast<double>(kLshTables));
   EXPECT_GT(adaptive.stats().lsh_probe_candidates, 0u);
 }
 

@@ -6,6 +6,7 @@
 // apportionment invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -165,8 +166,8 @@ TEST(ClusterParity, DesAndThreadedShardedTopologiesAgree) {
 /// A frontend with `n` absorbing loopback shards (queries go in, nothing
 /// comes back) — enough to exercise routing and load accounting.
 struct RoutingHarness {
-  explicit RoutingHarness(int n, FrontendConfig cfg = {})
-      : frontend(shared_env().workload(), shared_env().scorer(), cfg) {
+  explicit RoutingHarness(int n)
+      : frontend(shared_env().workload(), shared_env().scorer(), {}) {
     for (int s = 0; s < n; ++s) {
       auto link = net::make_loopback_link();
       link.second->set_receiver([](net::Frame) {});  // absorb
@@ -220,10 +221,7 @@ TEST(ConsistentHash, GrowingTheRingOnlyMovesKeysToTheNewShard) {
 }
 
 TEST(Routing, LeastLoadedFallbackDivertsOnlyUnderHeavySkew) {
-  FrontendConfig cfg;
-  cfg.imbalance_min_inflight = 16;
-  cfg.imbalance_factor = 4.0;
-  RoutingHarness h(3, cfg);
+  RoutingHarness h(3);
   const quality::QueryId pid = 11;  // all traffic on one key
   const std::size_t owner = h.frontend.hash_shard(pid);
 
@@ -241,26 +239,32 @@ TEST(Routing, LeastLoadedFallbackDivertsOnlyUnderHeavySkew) {
   std::uint64_t sum = 0, owner_load = h.frontend.inflight(owner);
   for (std::size_t s = 0; s < 3; ++s) sum += h.frontend.inflight(s);
   EXPECT_EQ(sum, static_cast<std::uint64_t>(kTotal));
-  // Hash affinity holds until the threshold, then the overflow diverts.
-  EXPECT_GE(owner_load, cfg.imbalance_min_inflight);
+  // Hash affinity holds until the floor, then the overflow diverts.
+  EXPECT_GE(owner_load, kImbalanceMinInflight);
+  std::uint64_t least_load = owner_load;
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_GT(h.frontend.inflight(s), 0u) << "shard " << s;
     EXPECT_GE(owner_load, h.frontend.inflight(s));
+    least_load = std::min(least_load, h.frontend.inflight(s));
   }
+  // The owner took its last query while within the imbalance factor of
+  // the least-loaded shard, so it is at most one query past that bound.
+  EXPECT_LE(static_cast<double>(owner_load),
+            kImbalanceFactor * static_cast<double>(least_load + 1) + 1.0);
 }
 
 TEST(Routing, NoDiversionBelowTheInflightFloor) {
-  RoutingHarness h(3);  // default floor: imbalance_min_inflight = 4
+  RoutingHarness h(3);
   const quality::QueryId pid = 11;
   const std::size_t owner = h.frontend.hash_shard(pid);
-  for (int i = 0; i < 3; ++i) {
+  for (std::uint64_t i = 0; i < kImbalanceMinInflight - 1; ++i) {
     engine::Query q;
     q.prompt_id = pid;
-    q.arrival_time = 0.1 * i;
-    q.deadline = 0.1 * i + 5.0;
+    q.arrival_time = 0.1 * static_cast<double>(i);
+    q.deadline = q.arrival_time + 5.0;
     h.frontend.submit(q);
   }
-  EXPECT_EQ(h.frontend.inflight(owner), 3u);
+  EXPECT_EQ(h.frontend.inflight(owner), kImbalanceMinInflight - 1);
 }
 
 // ---- wire-driven terminal accounting ----------------------------------------------

@@ -1,11 +1,10 @@
 // Tests for util/ring_buffer: FIFO equivalence of every ring against a
 // std::deque reference model across randomized operation sequences (50
-// seeds, all overflow policies), plus multi-threaded stress tests written
+// seeds), plus multi-threaded stress tests written
 // to be run under TSan (the CI thread-sanitizer job includes this suite)
 // so the lock-free protocols are raced, not just exercised.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -62,52 +61,32 @@ TEST(SpscRing, FifoEquivalenceAcrossSeeds) {
   }
 }
 
-TEST(MpscRing, FifoEquivalenceAllPoliciesAcrossSeeds) {
-  const OverflowPolicy policies[] = {OverflowPolicy::kBlock,
-                                     OverflowPolicy::kDropOldest,
-                                     OverflowPolicy::kDropNewest};
-  for (const auto policy : policies) {
-    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-      Rng rng(seed);
-      const std::size_t cap = 1u << rng.uniform_int(1, 5);
-      MpscRing<int> ring(cap, policy);
-      std::deque<int> model;
-      std::uint64_t model_dropped = 0;
-      int next = 0;
-      for (int op = 0; op < 2000; ++op) {
-        if (rng.bernoulli(0.55)) {
-          const bool full = model.size() >= ring.capacity();
-          if (full && policy == OverflowPolicy::kBlock) {
-            // A single-threaded blocking push on a full ring would spin
-            // forever; the real producers of a kBlock ring always have a
-            // live consumer. Skip, as the backend's usage does.
-            continue;
-          }
-          const bool pushed = ring.push(next);
-          if (!full) {
-            ASSERT_TRUE(pushed);
-            model.push_back(next);
-          } else if (policy == OverflowPolicy::kDropOldest) {
-            ASSERT_TRUE(pushed);
-            model.pop_front();
-            model.push_back(next);
-            ++model_dropped;
-          } else {  // kDropNewest
-            ASSERT_FALSE(pushed);
-            ++model_dropped;
-          }
-          ++next;
-        } else {
-          int got = -1;
-          const bool popped = ring.try_pop(got);
-          ASSERT_EQ(popped, !model.empty());
-          if (popped) {
-            ASSERT_EQ(got, model.front());
-            model.pop_front();
-          }
+TEST(MpscRing, FifoEquivalenceAcrossSeeds) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    const std::size_t cap = 1u << rng.uniform_int(1, 5);
+    MpscRing<int> ring(cap);
+    std::deque<int> model;
+    int next = 0;
+    for (int op = 0; op < 2000; ++op) {
+      if (rng.bernoulli(0.55)) {
+        // A single-threaded push on a full ring would block forever; the
+        // real producers always have a live consumer. Skip, as the
+        // backend's usage does.
+        if (model.size() >= ring.capacity()) continue;
+        ring.push(next);
+        model.push_back(next);
+        ++next;
+      } else {
+        int got = -1;
+        const bool popped = ring.try_pop(got);
+        ASSERT_EQ(popped, !model.empty()) << "seed " << seed;
+        if (popped) {
+          ASSERT_EQ(got, model.front()) << "seed " << seed;
+          model.pop_front();
         }
       }
-      EXPECT_EQ(ring.dropped(), model_dropped);
+      ASSERT_EQ(ring.size_approx(), model.size()) << "seed " << seed;
     }
   }
 }
@@ -171,7 +150,7 @@ TEST(SpscRing, SingleProducerSingleConsumerStress) {
 TEST(MpscRing, MultiProducerStressKeepsPerProducerOrder) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 50'000;
-  MpscRing<std::uint64_t> ring(128, OverflowPolicy::kBlock);
+  MpscRing<std::uint64_t> ring(128);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p)
@@ -199,38 +178,6 @@ TEST(MpscRing, MultiProducerStressKeepsPerProducerOrder) {
   }
   for (auto& t : producers) t.join();
   EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(MpscRing, DropOldestUnderConcurrentPressureLosesOnlyOldest) {
-  // One slow consumer, two fast producers on a tiny ring: kDropOldest must
-  // keep accepting (push never returns false) and account every discard.
-  constexpr int kPerProducer = 20'000;
-  MpscRing<std::uint64_t> ring(16, OverflowPolicy::kDropOldest);
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> consumed{0};
-  std::thread consumer([&] {
-    std::uint64_t v;
-    while (!done.load()) {
-      if (ring.try_pop(v))
-        consumed.fetch_add(1, std::memory_order_relaxed);
-      else
-        std::this_thread::yield();
-    }
-    while (ring.try_pop(v)) consumed.fetch_add(1, std::memory_order_relaxed);
-  });
-  std::thread p1([&] {
-    for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(ring.push(1));
-  });
-  std::thread p2([&] {
-    for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(ring.push(2));
-  });
-  p1.join();
-  p2.join();
-  done.store(true);
-  consumer.join();
-  EXPECT_EQ(consumed.load() + ring.dropped(),
-            static_cast<std::uint64_t>(2 * kPerProducer));
 }
 
 // --- annotated locking layer (util::Mutex / MutexLock / CondVar) -----------

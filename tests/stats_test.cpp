@@ -1,14 +1,12 @@
 // Tests for stats: streaming moments, percentiles, EWMA/Holt estimators,
-// histograms/CDFs, sliding windows.
+// sliding windows.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "stats/ewma.hpp"
-#include "stats/histogram.hpp"
 #include "stats/streaming.hpp"
 #include "stats/window.hpp"
-#include "util/rng.hpp"
 
 namespace diffserve::stats {
 namespace {
@@ -141,51 +139,6 @@ TEST(TimeDecayedEwma, HalfLifeSemantics) {
   e.observe(0.0, 100.0);
   e.observe(10.0, 0.0);  // one half-life later
   EXPECT_NEAR(e.value_at(10.0), 50.0, 1e-9);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-5.0);  // clamps to first bin
-  h.add(15.0);  // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 2u);
-}
-
-TEST(Histogram, CdfMonotoneAndBounded) {
-  util::Rng rng(3);
-  Histogram h(0.0, 1.0, 20);
-  for (int i = 0; i < 5000; ++i) h.add(rng.uniform());
-  double prev = -1.0;
-  for (double x = 0.0; x <= 1.0; x += 0.05) {
-    const double c = h.cdf(x);
-    EXPECT_GE(c, prev - 1e-12);
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
-    prev = c;
-  }
-  EXPECT_NEAR(h.cdf(0.5), 0.5, 0.03);
-}
-
-TEST(Histogram, QuantileInvertsCdf) {
-  util::Rng rng(5);
-  Histogram h(0.0, 1.0, 50);
-  for (int i = 0; i < 20000; ++i) h.add(rng.uniform());
-  for (double q : {0.1, 0.5, 0.9}) {
-    const double x = h.quantile(q);
-    EXPECT_NEAR(h.cdf(x), q, 0.03);
-  }
-}
-
-TEST(EmpiricalCdf, ExactSemantics) {
-  EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(cdf.at(0.5), 0.0);
-  EXPECT_EQ(cdf.at(2.0), 0.5);
-  EXPECT_EQ(cdf.at(10.0), 1.0);
-  EXPECT_EQ(cdf.quantile(0.5), 2.0);
-  EXPECT_EQ(cdf.quantile(1.0), 4.0);
 }
 
 TEST(SlidingWindow, EvictsOldEvents) {
