@@ -33,20 +33,30 @@ control::AllocationInput cascade1_input(double demand) {
   return in;
 }
 
-void BM_MilpContinuousDeferral(benchmark::State& state) {
-  control::MilpAllocator alloc(
-      control::MilpAllocator::Formulation::kContinuousDeferral);
+/// Solves `in` once per iteration; the `nodes` counter is the
+/// branch-and-bound nodes per solve.
+void run_milp(benchmark::State& state,
+              control::MilpAllocator::Formulation formulation) {
+  control::MilpAllocator alloc(formulation);
   const auto in = cascade1_input(static_cast<double>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(alloc.allocate(in));
+  double nodes = 0.0;
+  for (auto _ : state) {
+    const auto d = alloc.allocate(in);
+    nodes += d.solver_nodes;
+    benchmark::DoNotOptimize(d);
+  }
+  state.counters["nodes"] =
+      benchmark::Counter(nodes, benchmark::Counter::kAvgIterations);
+}
+
+void BM_MilpContinuousDeferral(benchmark::State& state) {
+  run_milp(state, control::MilpAllocator::Formulation::kContinuousDeferral);
 }
 BENCHMARK(BM_MilpContinuousDeferral)->Arg(4)->Arg(12)->Arg(24)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MilpThresholdGrid(benchmark::State& state) {
-  control::MilpAllocator alloc(
-      control::MilpAllocator::Formulation::kThresholdGrid);
-  const auto in = cascade1_input(static_cast<double>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(alloc.allocate(in));
+  run_milp(state, control::MilpAllocator::Formulation::kThresholdGrid);
 }
 BENCHMARK(BM_MilpThresholdGrid)->Arg(12)->Unit(benchmark::kMillisecond);
 

@@ -68,6 +68,7 @@ DEFAULT_DIRS = [
     "src/serving",
     "src/cluster",
     "src/control",
+    "src/milp",
 ]
 
 SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".h")

@@ -87,6 +87,9 @@ struct AllocationDecision {
   bool direct_mode = false;
   double p_heavy = 0.0;
   double solve_time_ms = 0.0;
+  /// Branch-and-bound nodes the MILP explored for this decision, its
+  /// queue-relaxed retry included; 0 from allocators that solve no MILP.
+  int solver_nodes = 0;
 
   std::size_t stage_count() const { return workers.size(); }
   /// Reshape for an n-stage chain (zeroed workers, unit batches).

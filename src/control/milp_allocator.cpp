@@ -195,7 +195,7 @@ AllocationDecision MilpAllocator::allocate(const AllocationInput& in) {
   };
   milp::Problem problem = build_problem(in, formulation);
   milp::MilpResult res = milp::solve_milp(problem, options);
-  last_nodes_ = res.nodes_explored;
+  int nodes = res.nodes_explored;
   bool deep_capped = in.boundary_count() > 1 &&
                      res.nodes_explored >= options.max_nodes;
   if (!usable(res) && !deep_capped) {
@@ -203,7 +203,7 @@ AllocationDecision MilpAllocator::allocate(const AllocationInput& in) {
     // capacity planning (queues drain via the drop policy).
     problem = build_problem(relax_queue_estimates(in), formulation);
     res = milp::solve_milp(problem, options);
-    last_nodes_ += res.nodes_explored;
+    nodes += res.nodes_explored;
     // The retry can itself blow the deep-chain node budget; route that to
     // the oracle below, not the overload fallback.
     deep_capped = in.boundary_count() > 1 &&
@@ -270,6 +270,7 @@ AllocationDecision MilpAllocator::allocate(const AllocationInput& in) {
   } else {
     out = overload_fallback(in);
   }
+  out.solver_nodes = nodes;
   out.solve_time_ms = std::chrono::duration<double, std::milli>(
                           // ds-lint: allow(wall-clock): telemetry end-stamp
                           std::chrono::steady_clock::now() - start)

@@ -55,13 +55,9 @@ class MilpAllocator : public Allocator {
                                      Formulation formulation,
                                      double worker_penalty = 1e-6);
 
-  /// Nodes explored by the last solve.
-  int last_nodes() const { return last_nodes_; }
-
  private:
   Formulation formulation_;
   milp::MilpOptions options_;
-  int last_nodes_ = 0;
 };
 
 }  // namespace diffserve::control

@@ -37,7 +37,7 @@ auto fields(const control::Controller::Snapshot& s) {
                   s.cache_service_discount, s.class_demand,
                   s.effective_slo_seconds, d.feasible, d.workers, d.batches,
                   d.thresholds, d.deferral_fractions, d.direct_mode,
-                  d.p_heavy);
+                  d.p_heavy, d.solver_nodes);
 }
 
 template <typename Range>

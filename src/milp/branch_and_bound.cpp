@@ -1,7 +1,7 @@
 #include "milp/branch_and_bound.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <queue>
 #include <vector>
 
 #include "util/check.hpp"
@@ -10,10 +10,10 @@ namespace diffserve::milp {
 
 namespace {
 
+// A node is the root problem under its own variable bounds: each branching
+// tightens one bound of a copy of its parent's.
 struct Node {
-  // Bound overrides relative to the root problem.
-  std::vector<std::pair<int, double>> lower_overrides;
-  std::vector<std::pair<int, double>> upper_overrides;
+  std::vector<double> lo, hi;
   double bound = 0.0;  // parent LP objective (upper bound for maximization)
 };
 
@@ -22,40 +22,6 @@ struct NodeCompare {
     return a.bound < b.bound;  // best-first: largest bound on top
   }
 };
-
-// Rebuild the problem with the node's tightened variable bounds.
-// (Problem has no mutate-bounds API by design; reconstruction is cheap at
-// these sizes.)
-Problem with_overrides(const Problem& root, const Node& node) {
-  std::vector<double> lo(root.num_variables()), hi(root.num_variables());
-  for (std::size_t i = 0; i < root.num_variables(); ++i) {
-    lo[i] = root.variables()[i].lower;
-    hi[i] = root.variables()[i].upper;
-  }
-  for (const auto& [idx, v] : node.lower_overrides)
-    lo[static_cast<std::size_t>(idx)] =
-        std::max(lo[static_cast<std::size_t>(idx)], v);
-  for (const auto& [idx, v] : node.upper_overrides)
-    hi[static_cast<std::size_t>(idx)] =
-        std::min(hi[static_cast<std::size_t>(idx)], v);
-
-  Problem q;
-  for (std::size_t i = 0; i < root.num_variables(); ++i) {
-    const auto& v = root.variables()[i];
-    if (lo[i] > hi[i]) {
-      // Infeasible bounds — encode as an impossible constraint on a valid
-      // variable range so the LP reports infeasibility.
-      q.add_variable(v.name, v.type, 0.0, 0.0, v.objective);
-      q.add_constraint("infeasible_bounds", {{static_cast<int>(i), 1.0}},
-                       Sense::kGe, 1.0);
-    } else {
-      q.add_variable(v.name, v.type, lo[i], hi[i], v.objective);
-    }
-  }
-  for (const auto& c : root.constraints())
-    q.add_constraint(c.name, c.terms, c.sense, c.rhs);
-  return q;
-}
 
 /// Index of the most fractional integer variable, or -1 if integral.
 int most_fractional(const Problem& p, const std::vector<double>& x,
@@ -81,20 +47,30 @@ MilpResult solve_milp(const Problem& p, const MilpOptions& opts) {
   result.solution.status = SolveStatus::kInfeasible;
   double incumbent = -kInfinity;
 
-  std::priority_queue<Node, std::vector<Node>, NodeCompare> open;
-  open.push(Node{{}, {}, kInfinity});
+  // The open list is a binary heap run by the same push_heap/pop_heap calls
+  // as std::priority_queue, so nodes come off it in the same order, but the
+  // top node's bound arrays can be moved out instead of copied.
+  std::vector<Node> open;
+  const NodeCompare cmp{};
+  Node root{{}, {}, kInfinity};
+  for (const auto& v : p.variables()) {
+    root.lo.push_back(v.lower);
+    root.hi.push_back(v.upper);
+  }
+  open.push_back(std::move(root));
 
+  LpRelaxation lp(p, opts.lp);
   bool any_lp_limit = false;
 
   while (!open.empty() && result.nodes_explored < opts.max_nodes) {
-    Node node = open.top();
-    open.pop();
+    std::pop_heap(open.begin(), open.end(), cmp);
+    Node node = std::move(open.back());
+    open.pop_back();
     if (node.bound <= incumbent + opts.absolute_gap && incumbent > -kInfinity)
       break;  // best-first: no remaining node can beat the incumbent
     ++result.nodes_explored;
 
-    const Problem sub = with_overrides(p, node);
-    const Solution relax = solve_lp(sub, opts.lp);
+    const Solution& relax = lp.solve(node.lo, node.hi);
     if (relax.status == SolveStatus::kInfeasible) continue;
     if (relax.status == SolveStatus::kLimit) {
       any_lp_limit = true;
@@ -126,18 +102,20 @@ MilpResult solve_milp(const Problem& p, const MilpOptions& opts) {
       continue;
     }
 
-    const double v = relax.values[static_cast<std::size_t>(branch_var)];
+    const auto b = static_cast<std::size_t>(branch_var);
+    const double v = relax.values[b];
     Node down = node;
     down.bound = relax.objective;
-    down.upper_overrides.emplace_back(branch_var, std::floor(v));
-    Node up = node;
+    down.hi[b] = std::min(down.hi[b], std::floor(v));
+    Node up = std::move(node);
     up.bound = relax.objective;
-    up.lower_overrides.emplace_back(branch_var, std::ceil(v));
-    open.push(std::move(down));
-    open.push(std::move(up));
+    up.lo[b] = std::max(up.lo[b], std::ceil(v));
+    open.push_back(std::move(down));
+    std::push_heap(open.begin(), open.end(), cmp);
+    open.push_back(std::move(up));
+    std::push_heap(open.begin(), open.end(), cmp);
   }
 
-  result.best_bound = incumbent;
   if (result.solution.status != SolveStatus::kOptimal) {
     result.solution.status =
         any_lp_limit || result.nodes_explored >= opts.max_nodes

@@ -1,209 +1,200 @@
 #include "milp/simplex.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "util/check.hpp"
 
 namespace diffserve::milp {
 
-namespace {
+LpRelaxation::LpRelaxation(const Problem& p, const SimplexOptions& opts)
+    : p_(p), opts_(opts), n_struct_(p.num_variables()) {
+  DS_REQUIRE(n_struct_ > 0, "LP with no variables");
+  coeff_.assign(p.num_constraints() * n_struct_, 0.0);
+  for (std::size_t r = 0; r < p.num_constraints(); ++r)
+    for (const auto& [idx, c] : p.constraints()[r].terms)
+      coeff_[r * n_struct_ + static_cast<std::size_t>(idx)] += c;
+}
 
-// Dense standard-form tableau:
-//   rows 0..m-1: constraints (A | rhs), rhs >= 0
-//   basis[i]: column basic in row i
-// Columns: 0..n_struct-1 structural (shifted originals), then slack /
-// surplus, then artificial.
-struct Tableau {
-  std::size_t m = 0;                  // rows
-  std::size_t n = 0;                  // columns excluding rhs
-  std::vector<std::vector<double>> a; // m x (n + 1); last column is rhs
-  std::vector<std::size_t> basis;     // size m
-};
-
-void pivot(Tableau& t, std::size_t row, std::size_t col) {
-  auto& pr = t.a[row];
+// Scales the pivot row once and updates every other row only at the
+// columns where the scaled pivot row is nonzero: elsewhere the update
+// would subtract factor * 0, which changes at most the sign of a zero.
+void LpRelaxation::pivot(std::size_t r, std::size_t col) {
+  double* pr = row(r);
   const double pivot_val = pr[col];
   DS_CHECK(std::fabs(pivot_val) > 1e-12, "pivot on (near) zero element");
   const double inv = 1.0 / pivot_val;
-  for (auto& v : pr) v *= inv;
+  nonzero_.clear();
+  for (std::size_t c = 0; c <= n_; ++c) {
+    pr[c] *= inv;
+    if (pr[c] != 0.0) nonzero_.push_back(c);
+  }
   pr[col] = 1.0;  // exact
-  for (std::size_t r = 0; r < t.m; ++r) {
-    if (r == row) continue;
-    auto& tr = t.a[r];
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (i == r) continue;
+    double* tr = row(i);
     const double factor = tr[col];
     if (factor == 0.0) continue;
-    for (std::size_t c = 0; c <= t.n; ++c) tr[c] -= factor * pr[c];
+    for (const std::size_t c : nonzero_) tr[c] -= factor * pr[c];
     tr[col] = 0.0;  // exact
   }
-  t.basis[row] = col;
+  basis_[r] = col;
 }
 
-// Reduced costs for objective `obj` (maximization) given the current basis:
-// z_j - c_j computed via the basic objective coefficients.
-// Returns (reduced costs, objective value).
-std::pair<std::vector<double>, double> reduced_costs(
-    const Tableau& t, const std::vector<double>& obj) {
-  // rc holds z_j until the last loop. Row-major accumulation walks each
-  // tableau row contiguously; every z_j still sums its terms in row order,
-  // so the result is bit-identical to the column-by-column sum.
-  std::vector<double> rc(t.n, 0.0);
-  double z = 0.0;
-  for (std::size_t i = 0; i < t.m; ++i) {
+// Reduced costs z_j - c_j of `obj_` (maximization) under the current
+// basis. rc_ holds z_j until the last loop. Row-major accumulation walks
+// each tableau row contiguously; every z_j still sums its terms in row
+// order, so the result is bit-identical to the column-by-column sum.
+void LpRelaxation::reduced_costs() {
+  rc_.assign(n_, 0.0);
+  for (std::size_t i = 0; i < m_; ++i) {
     // y_i = objective coefficient of the basic variable in row i.
-    const double y = obj[t.basis[i]];
-    z += y * t.a[i][t.n];
+    const double y = obj_[basis_[i]];
     if (y == 0.0) continue;
-    const double* row = t.a[i].data();
-    for (std::size_t j = 0; j < t.n; ++j) rc[j] += y * row[j];
+    const double* r = row(i);
+    for (std::size_t j = 0; j < n_; ++j) rc_[j] += y * r[j];
   }
-  for (std::size_t j = 0; j < t.n; ++j) rc[j] -= obj[j];
-  return {std::move(rc), z};
+  for (std::size_t j = 0; j < n_; ++j) rc_[j] -= obj_[j];
 }
 
-enum class IterResult { kOptimal, kUnbounded, kLimit };
-
-// Primal simplex iterations maximizing `obj` from the current basis.
-IterResult iterate(Tableau& t, const std::vector<double>& obj,
-                   const SimplexOptions& opts, int& iters_used) {
+// Primal simplex iterations maximizing `obj_` from the current basis.
+LpRelaxation::IterResult LpRelaxation::iterate(int& iters_used) {
   for (;;) {
-    if (iters_used >= opts.max_iterations) return IterResult::kLimit;
-    auto [rc, z] = reduced_costs(t, obj);
-    (void)z;
+    if (iters_used >= opts_.max_iterations) return IterResult::kLimit;
+    reduced_costs();
 
     // Entering column: for maximization, any rc_j < -tol improves.
-    std::size_t enter = t.n;
-    if (iters_used < opts.bland_after) {
-      double best = -opts.tol;
-      for (std::size_t j = 0; j < t.n; ++j) {
-        if (rc[j] < best) {
-          best = rc[j];
+    std::size_t enter = n_;
+    if (iters_used < opts_.bland_after) {
+      double best = -opts_.tol;
+      for (std::size_t j = 0; j < n_; ++j) {
+        if (rc_[j] < best) {
+          best = rc_[j];
           enter = j;
         }
       }
     } else {
       // Bland's rule: smallest index with negative reduced cost.
-      for (std::size_t j = 0; j < t.n; ++j) {
-        if (rc[j] < -opts.tol) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        if (rc_[j] < -opts_.tol) {
           enter = j;
           break;
         }
       }
     }
-    if (enter == t.n) return IterResult::kOptimal;
+    if (enter == n_) return IterResult::kOptimal;
 
     // Leaving row: minimum ratio rhs / a[r][enter] over positive entries.
-    std::size_t leave = t.m;
+    std::size_t leave = m_;
     double best_ratio = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < t.m; ++r) {
-      const double coef = t.a[r][enter];
-      if (coef > opts.tol) {
-        const double ratio = t.a[r][t.n] / coef;
+    for (std::size_t r = 0; r < m_; ++r) {
+      const double* tr = row(r);
+      const double coef = tr[enter];
+      if (coef > opts_.tol) {
+        const double ratio = tr[n_] / coef;
         if (ratio < best_ratio - 1e-12 ||
-            (std::fabs(ratio - best_ratio) <= 1e-12 && leave < t.m &&
-             t.basis[r] < t.basis[leave])) {
+            (std::fabs(ratio - best_ratio) <= 1e-12 && leave < m_ &&
+             basis_[r] < basis_[leave])) {
           best_ratio = ratio;
           leave = r;
         }
       }
     }
-    if (leave == t.m) return IterResult::kUnbounded;
+    if (leave == m_) return IterResult::kUnbounded;
 
-    pivot(t, leave, enter);
+    pivot(leave, enter);
     ++iters_used;
   }
 }
 
-}  // namespace
+const Solution& LpRelaxation::finish(SolveStatus status) {
+  solution_.status = status;
+  solution_.objective = 0.0;
+  solution_.values.clear();
+  return solution_;
+}
 
-Solution solve_lp(const Problem& p, const SimplexOptions& opts) {
-  const auto& vars = p.variables();
-  const std::size_t n_struct = vars.size();
-  DS_REQUIRE(n_struct > 0, "LP with no variables");
-
-  // Standard-form conversion. Shift each variable by its lower bound so all
-  // structural variables are >= 0. Finite upper bounds become extra rows.
-  std::vector<double> shift(n_struct);
-  for (std::size_t j = 0; j < n_struct; ++j) {
-    DS_REQUIRE(vars[j].lower > -kInfinity,
+const Solution& LpRelaxation::solve(const std::vector<double>& lo,
+                                    const std::vector<double>& hi) {
+  const auto& vars = p_.variables();
+  const auto& cons = p_.constraints();
+  DS_REQUIRE(lo.size() == n_struct_ && hi.size() == n_struct_,
+             "bounds size mismatch");
+  for (std::size_t j = 0; j < n_struct_; ++j) {
+    DS_REQUIRE(lo[j] > -kInfinity,
                "free variables not supported: " + vars[j].name);
-    shift[j] = vars[j].lower;
+    if (lo[j] > hi[j]) return finish(SolveStatus::kInfeasible);
   }
 
-  struct Row {
-    std::vector<double> coeff;  // dense over structural vars
-    Sense sense;
-    double rhs;
-  };
-  std::vector<Row> rows;
-  for (const auto& c : p.constraints()) {
-    Row row{std::vector<double>(n_struct, 0.0), c.sense, c.rhs};
-    for (const auto& [idx, coeff] : c.terms) {
-      row.coeff[static_cast<std::size_t>(idx)] += coeff;
-      row.rhs -= coeff * shift[static_cast<std::size_t>(idx)];
-    }
-    rows.push_back(std::move(row));
+  // Standard form. Each variable is shifted by its lower bound so all
+  // structural variables are >= 0: the shift moves into every constraint's
+  // rhs, and a finite upper bound becomes the row x_j <= hi_j - lo_j.
+  rhs_.clear();
+  sense_.clear();
+  for (const auto& c : cons) {
+    double rhs = c.rhs;
+    for (const auto& [idx, coeff] : c.terms)
+      rhs -= coeff * lo[static_cast<std::size_t>(idx)];
+    rhs_.push_back(rhs);
+    sense_.push_back(c.sense);
   }
-  for (std::size_t j = 0; j < n_struct; ++j) {
-    if (vars[j].upper < kInfinity) {
-      Row row{std::vector<double>(n_struct, 0.0), Sense::kLe,
-              vars[j].upper - shift[j]};
-      row.coeff[j] = 1.0;
-      rows.push_back(std::move(row));
+  for (std::size_t j = 0; j < n_struct_; ++j) {
+    if (hi[j] < kInfinity) {
+      rhs_.push_back(hi[j] - lo[j]);
+      sense_.push_back(Sense::kLe);
     }
   }
+  m_ = rhs_.size();
 
-  // Flip rows to get rhs >= 0.
-  for (auto& row : rows) {
-    if (row.rhs < 0.0) {
-      for (auto& v : row.coeff) v = -v;
-      row.rhs = -row.rhs;
-      if (row.sense == Sense::kLe) row.sense = Sense::kGe;
-      else if (row.sense == Sense::kGe) row.sense = Sense::kLe;
-    }
-  }
-
-  const std::size_t m = rows.size();
-  // Column layout: structural | slack/surplus (one per Le/Ge row) |
-  // artificial (one per Ge/Eq row).
+  // Constraint rows with a negative rhs are negated. (Upper-bound rows
+  // never are: lo <= hi.) Column layout: structural | slack/surplus (one
+  // per Le/Ge row) | artificial (one per Ge/Eq row).
   std::size_t n_slack = 0, n_artificial = 0;
-  for (const auto& row : rows) {
-    if (row.sense != Sense::kEq) ++n_slack;
-    if (row.sense != Sense::kLe) ++n_artificial;
+  for (std::size_t r = 0; r < m_; ++r) {
+    if (rhs_[r] < 0.0) {
+      if (sense_[r] == Sense::kLe) sense_[r] = Sense::kGe;
+      else if (sense_[r] == Sense::kGe) sense_[r] = Sense::kLe;
+    }
+    if (sense_[r] != Sense::kEq) ++n_slack;
+    if (sense_[r] != Sense::kLe) ++n_artificial;
   }
-  const std::size_t n_total = n_struct + n_slack + n_artificial;
+  n_ = n_struct_ + n_slack + n_artificial;
 
-  Tableau t;
-  t.m = m;
-  t.n = n_total;
-  t.a.assign(m, std::vector<double>(n_total + 1, 0.0));
-  t.basis.assign(m, 0);
-
-  std::size_t slack_col = n_struct;
-  std::size_t art_col = n_struct + n_slack;
-  std::vector<bool> is_artificial(n_total, false);
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto& row = rows[r];
-    for (std::size_t j = 0; j < n_struct; ++j) t.a[r][j] = row.coeff[j];
-    t.a[r][n_total] = row.rhs;
-    switch (row.sense) {
+  a_.assign(m_ * (n_ + 1), 0.0);
+  basis_.assign(m_, 0);
+  is_artificial_.assign(n_, 0);
+  std::size_t bound_row = cons.size();
+  for (std::size_t j = 0; j < n_struct_; ++j)
+    if (hi[j] < kInfinity) row(bound_row++)[j] = 1.0;
+  std::size_t slack_col = n_struct_;
+  std::size_t art_col = n_struct_ + n_slack;
+  for (std::size_t r = 0; r < m_; ++r) {
+    double* t = row(r);
+    if (r < cons.size()) {
+      const double* c = &coeff_[r * n_struct_];
+      if (rhs_[r] < 0.0) {
+        for (std::size_t j = 0; j < n_struct_; ++j) t[j] = -c[j];
+      } else {
+        for (std::size_t j = 0; j < n_struct_; ++j) t[j] = c[j];
+      }
+    }
+    t[n_] = rhs_[r] < 0.0 ? -rhs_[r] : rhs_[r];
+    switch (sense_[r]) {
       case Sense::kLe:
-        t.a[r][slack_col] = 1.0;
-        t.basis[r] = slack_col++;
+        t[slack_col] = 1.0;
+        basis_[r] = slack_col++;
         break;
       case Sense::kGe:
-        t.a[r][slack_col] = -1.0;
+        t[slack_col] = -1.0;
         ++slack_col;
-        t.a[r][art_col] = 1.0;
-        is_artificial[art_col] = true;
-        t.basis[r] = art_col++;
+        t[art_col] = 1.0;
+        is_artificial_[art_col] = 1;
+        basis_[r] = art_col++;
         break;
       case Sense::kEq:
-        t.a[r][art_col] = 1.0;
-        is_artificial[art_col] = true;
-        t.basis[r] = art_col++;
+        t[art_col] = 1.0;
+        is_artificial_[art_col] = 1;
+        basis_[r] = art_col++;
         break;
     }
   }
@@ -212,54 +203,63 @@ Solution solve_lp(const Problem& p, const SimplexOptions& opts) {
 
   // Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
   if (n_artificial > 0) {
-    std::vector<double> phase1_obj(n_total, 0.0);
-    for (std::size_t j = 0; j < n_total; ++j)
-      if (is_artificial[j]) phase1_obj[j] = -1.0;
-    const auto res = iterate(t, phase1_obj, opts, iters);
-    if (res == IterResult::kLimit) return {SolveStatus::kLimit, 0.0, {}};
+    obj_.assign(n_, 0.0);
+    for (std::size_t j = 0; j < n_; ++j)
+      if (is_artificial_[j]) obj_[j] = -1.0;
+    const auto res = iterate(iters);
+    if (res == IterResult::kLimit) return finish(SolveStatus::kLimit);
     DS_CHECK(res != IterResult::kUnbounded, "phase 1 cannot be unbounded");
     double art_sum = 0.0;
-    for (std::size_t r = 0; r < m; ++r)
-      if (is_artificial[t.basis[r]]) art_sum += t.a[r][n_total];
-    if (art_sum > 1e-7) return {SolveStatus::kInfeasible, 0.0, {}};
+    for (std::size_t r = 0; r < m_; ++r)
+      if (is_artificial_[basis_[r]]) art_sum += row(r)[n_];
+    if (art_sum > 1e-7) return finish(SolveStatus::kInfeasible);
     // Pivot any artificial still basic (at zero) out of the basis.
-    for (std::size_t r = 0; r < m; ++r) {
-      if (!is_artificial[t.basis[r]]) continue;
-      std::size_t enter = n_total;
-      for (std::size_t j = 0; j < n_struct + n_slack; ++j) {
-        if (std::fabs(t.a[r][j]) > 1e-9) {
+    for (std::size_t r = 0; r < m_; ++r) {
+      if (!is_artificial_[basis_[r]]) continue;
+      const double* t = row(r);
+      std::size_t enter = n_;
+      for (std::size_t j = 0; j < n_struct_ + n_slack; ++j) {
+        if (std::fabs(t[j]) > 1e-9) {
           enter = j;
           break;
         }
       }
-      if (enter < n_total) pivot(t, r, enter);
+      if (enter < n_) pivot(r, enter);
       // else: the row is all zeros — redundant constraint; harmless.
     }
   }
 
   // Phase 2: maximize the true objective over the shifted variables.
   // (Artificial columns are forbidden by pricing them prohibitively.)
-  std::vector<double> obj(n_total, 0.0);
-  for (std::size_t j = 0; j < n_struct; ++j) obj[j] = vars[j].objective;
-  for (std::size_t j = 0; j < n_total; ++j)
-    if (is_artificial[j]) obj[j] = -1e12;
-  const auto res = iterate(t, obj, opts, iters);
-  if (res == IterResult::kLimit) return {SolveStatus::kLimit, 0.0, {}};
-  if (res == IterResult::kUnbounded) return {SolveStatus::kUnbounded, 0.0, {}};
+  obj_.assign(n_, 0.0);
+  for (std::size_t j = 0; j < n_struct_; ++j) obj_[j] = vars[j].objective;
+  for (std::size_t j = 0; j < n_; ++j)
+    if (is_artificial_[j]) obj_[j] = -1e12;
+  const auto res = iterate(iters);
+  if (res == IterResult::kLimit) return finish(SolveStatus::kLimit);
+  if (res == IterResult::kUnbounded) return finish(SolveStatus::kUnbounded);
 
-  Solution sol;
-  sol.status = SolveStatus::kOptimal;
-  sol.values.assign(n_struct, 0.0);
-  for (std::size_t r = 0; r < m; ++r)
-    if (t.basis[r] < n_struct) sol.values[t.basis[r]] = t.a[r][n_total];
-  for (std::size_t j = 0; j < n_struct; ++j) {
-    sol.values[j] += shift[j];
+  auto& x = solution_.values;
+  x.assign(n_struct_, 0.0);
+  for (std::size_t r = 0; r < m_; ++r)
+    if (basis_[r] < n_struct_) x[basis_[r]] = row(r)[n_];
+  for (std::size_t j = 0; j < n_struct_; ++j) {
+    x[j] += lo[j];
     // Clean tiny negatives from roundoff.
-    if (std::fabs(sol.values[j] - vars[j].lower) < 1e-9)
-      sol.values[j] = vars[j].lower;
+    if (std::fabs(x[j] - lo[j]) < 1e-9) x[j] = lo[j];
   }
-  sol.objective = p.objective_value(sol.values);
-  return sol;
+  solution_.status = SolveStatus::kOptimal;
+  solution_.objective = p_.objective_value(x);
+  return solution_;
+}
+
+Solution solve_lp(const Problem& p, const SimplexOptions& opts) {
+  std::vector<double> lo, hi;
+  for (const auto& v : p.variables()) {
+    lo.push_back(v.lower);
+    hi.push_back(v.upper);
+  }
+  return LpRelaxation(p, opts).solve(lo, hi);
 }
 
 }  // namespace diffserve::milp

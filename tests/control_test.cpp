@@ -1,17 +1,24 @@
 // Tests for the control plane: performance models, the MILP and
 // exhaustive allocators (cross-checked against each other over a demand
-// sweep), ablation variants, and the controller loop.
+// sweep), ablation variants, the controller loop, and pinned digests of
+// the MILP solver's results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "control/allocator.hpp"
 #include "control/allocator_variants.hpp"
 #include "control/controller.hpp"
 #include "control/exhaustive_allocator.hpp"
 #include "control/milp_allocator.hpp"
+#include "core/experiment.hpp"
+#include "milp/branch_and_bound.hpp"
 #include "models/model_repository.hpp"
+#include "trace/rate_trace.hpp"
+#include "util/rng.hpp"
 
 namespace diffserve::control {
 namespace {
@@ -214,6 +221,24 @@ TEST(Decision, SolveTimeIsMeasured) {
   EXPECT_GT(m.allocate(in).solve_time_ms, 0.0);
 }
 
+TEST(Decision, SolverNodesCountEveryMilpSolve) {
+  auto in = cascade1_input(10.0);
+  EXPECT_EQ(ExhaustiveAllocator().allocate(in).solver_nodes, 0);
+  // A backlog that fails Eq. 1 as observed: the count covers the failed
+  // solve and its queue-relaxed retry.
+  in.stages[1].queue_length = 100.0;
+  in.stages[1].arrival_rate = 5.0;
+  const auto formulation = MilpAllocator::Formulation::kContinuousDeferral;
+  const auto first =
+      milp::solve_milp(MilpAllocator::build_problem(in, formulation));
+  ASSERT_FALSE(first.solution.optimal());
+  const auto retry = milp::solve_milp(
+      MilpAllocator::build_problem(relax_queue_estimates(in), formulation));
+  ASSERT_TRUE(retry.solution.optimal());
+  EXPECT_EQ(MilpAllocator(formulation).allocate(in).solver_nodes,
+            first.nodes_explored + retry.nodes_explored);
+}
+
 TEST(Milp, SolveTimeWithinControlBudget) {
   // §4.5 reports ~10 ms with Gurobi; the budget is deliberately loose — it
   // exists to catch a solver that regressed into seconds, not to benchmark.
@@ -239,6 +264,175 @@ TEST(Milp, SolveTimeWithinControlBudget) {
   for (int i = 0; i < 5; ++i)
     best_ms = std::min(best_ms, m.allocate(in).solve_time_ms);
   EXPECT_LT(best_ms, budget_ms);
+}
+
+// --- Pinned solver digests --------------------------------------------------
+// Several plans often tie at the optimum, and the deployed one is the first
+// the branch-and-bound search reaches, so a solver change that moves any
+// pivot can change plans. These tests hash every bit the solver hands back
+// and pin the digests; a solver change that keeps them is bit-identical on
+// these inputs. The pins assume IEEE-754 doubles without FMA contraction
+// and glibc's libm (the paper-trace run goes through pow and exp). A change
+// meant to alter the search re-pins them and says which plans moved.
+
+/// FNV-1a over the bytes of 64-bit words.
+class Digest {
+ public:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void real(double v) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, &v, sizeof w);
+    word(w);
+  }
+  void integer(long long v) { word(static_cast<std::uint64_t>(v)); }
+
+  void result(const milp::MilpResult& r) {
+    integer(static_cast<int>(r.solution.status));
+    integer(r.nodes_explored);
+    real(r.solution.objective);
+    integer(static_cast<long long>(r.solution.values.size()));
+    for (const double v : r.solution.values) real(v);
+  }
+  void decision(const AllocationDecision& d) {
+    integer(d.feasible);
+    for (const int w : d.workers) integer(w);
+    for (const int b : d.batches) integer(b);
+    for (const double t : d.thresholds) real(t);
+    for (const double f : d.deferral_fractions) real(f);
+    integer(d.direct_mode);
+    real(d.p_heavy);
+    integer(d.solver_nodes);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ULL;  // FNV-1a offset basis
+};
+
+enum class Shape { kContinuous, kGrid, kThreeStage, kBacklog };
+
+std::vector<discriminator::DeferralProfile::GridPoint> random_grid(
+    util::Rng& rng) {
+  const auto points = rng.uniform_int(4, 20);
+  const double fmax = rng.uniform(0.3, 0.9);
+  const double exponent = rng.uniform(0.5, 2.5);
+  std::vector<discriminator::DeferralProfile::GridPoint> grid;
+  for (std::int64_t k = 0; k <= points; ++k) {
+    const double f = fmax * static_cast<double>(k) / static_cast<double>(points);
+    grid.push_back({std::pow(f, 1.0 / exponent), f});
+  }
+  return grid;
+}
+
+/// A seeded input over the paper catalog: Cascade 1 for two stages,
+/// SDXS -> SD-Turbo -> SDv1.5 for three. kBacklog inputs carry queues
+/// long enough that Eq. 1 often fails until the allocator relaxes them.
+AllocationInput random_input(util::Rng& rng, Shape shape) {
+  static const auto repo = models::ModelRepository::with_paper_catalog();
+  const auto latency = [](const char* name) {
+    return repo.model(name).latency;
+  };
+  const auto disc = latency(models::catalog::kEfficientNet);
+  AllocationInput in;
+  in.total_workers = static_cast<int>(rng.uniform_int(2, 12));
+  in.demand_qps = rng.uniform(0.2, 3.0) * in.total_workers;
+  in.slo_seconds = rng.uniform(3.0, 8.0);
+  std::vector<const char*> tiers = {models::catalog::kSdTurbo,
+                                    models::catalog::kSdV15};
+  if (shape == Shape::kThreeStage)
+    tiers.insert(tiers.begin(), models::catalog::kSdxs);
+  in.stages.resize(tiers.size());
+  in.boundary_grids.clear();
+  for (std::size_t s = 0; s < tiers.size(); ++s) {
+    auto& st = in.stages[s];
+    const bool last = s + 1 == tiers.size();
+    st.perf = StagePerfModel(latency(tiers[s]), last ? nullptr : &disc);
+    st.utilization_target = StageObs::default_utilization_target(s);
+    if (shape == Shape::kBacklog) {
+      st.queue_length = rng.uniform(10.0, 200.0);
+      st.arrival_rate = rng.uniform(1.0, 10.0);
+    } else {
+      st.queue_length = rng.uniform(0.0, 4.0);
+      st.arrival_rate = rng.uniform(0.5, 20.0);
+    }
+    if (!last) in.boundary_grids.push_back(random_grid(rng));
+  }
+  return in;
+}
+
+TEST(SolverDigest, SeededAllocationInputsArePinned) {
+  util::Rng rng(20261022);
+  Digest digest;
+  int inputs = 0, retries = 0, oracle_fallbacks = 0;
+  const Shape shapes[] = {Shape::kContinuous, Shape::kGrid,
+                          Shape::kThreeStage, Shape::kBacklog};
+  const int per_shape[] = {500, 250, 100, 200};
+  for (int k = 0; k < 4; ++k) {
+    for (int i = 0; i < per_shape[k]; ++i, ++inputs) {
+      const AllocationInput in = random_input(rng, shapes[k]);
+      const auto formulation =
+          shapes[k] == Shape::kGrid || (shapes[k] == Shape::kBacklog && i % 2)
+              ? MilpAllocator::Formulation::kThresholdGrid
+              : MilpAllocator::Formulation::kContinuousDeferral;
+      // The MILP as the allocator solves it: deep chains get the coarse
+      // gap and the node cap (see MilpAllocator::allocate).
+      milp::MilpOptions options;
+      const bool deep = in.boundary_count() > 1;
+      if (deep) {
+        options.absolute_gap = 2e-3;
+        options.max_nodes = 1500;
+      }
+      const auto first = milp::solve_milp(
+          MilpAllocator::build_problem(in, formulation), options);
+      digest.result(first);
+      if (first.solution.values.empty()) {
+        if (deep && first.nodes_explored >= options.max_nodes) {
+          ++oracle_fallbacks;
+        } else {
+          ++retries;
+          digest.result(milp::solve_milp(
+              MilpAllocator::build_problem(relax_queue_estimates(in),
+                                           formulation),
+              options));
+        }
+      }
+      // The allocator re-solves the same MILP, so run it on every input
+      // that leaves the plain path and on a quarter of the rest.
+      if (i % 4 != 0 && !first.solution.values.empty()) continue;
+      MilpAllocator allocator(formulation);
+      digest.decision(allocator.allocate(in));
+    }
+  }
+  EXPECT_GE(inputs, 1000);
+  EXPECT_GT(retries, 0);
+  EXPECT_GT(oracle_fallbacks, 0);
+  EXPECT_EQ(digest.value(), 6688942702260903381ULL);
+}
+
+TEST(SolverDigest, PaperTraceControllerHistoryIsPinned) {
+  // The paper's Fig. 5 setting: Azure-like 4 -> 32 qps over 360 s.
+  const core::CascadeEnvironment env;
+  core::RunConfig rc;
+  rc.approach = core::Approach::kDiffServe;
+  rc.total_workers = 16;
+  rc.trace = trace::RateTrace::azure_like(4.0, 32.0, 360.0, 3);
+  rc.arrival_seed = 1;
+  const auto report = core::run_experiment(env, rc);
+  Digest digest;
+  long long nodes = 0;
+  for (const auto& h : report.control_history) {
+    digest.real(h.time);
+    digest.decision(h.decision);
+    nodes += h.decision.solver_nodes;
+  }
+  EXPECT_GT(report.control_history.size(), 50u);
+  EXPECT_GT(nodes, 0);
+  EXPECT_EQ(digest.value(), 2002078753583822186ULL);
 }
 
 }  // namespace

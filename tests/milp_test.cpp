@@ -92,6 +92,27 @@ TEST(Simplex, NonZeroLowerBoundsShifted) {
   EXPECT_NEAR(sol.values[0], 3.0, 1e-8);
 }
 
+TEST(Simplex, CrossedBoundsAreInfeasibleAndTheWorkspaceIsReused) {
+  // The textbook LP above, solved through one workspace: first under
+  // bounds that cross (2.5 <= x <= 2), then under the problem's own.
+  Problem p;
+  const int x = p.add_variable("x", VarType::kContinuous, 0, kInfinity, 3);
+  const int y = p.add_variable("y", VarType::kContinuous, 0, kInfinity, 5);
+  p.add_constraint("c1", {{x, 1.0}}, Sense::kLe, 4);
+  p.add_constraint("c2", {{y, 2.0}}, Sense::kLe, 12);
+  p.add_constraint("c3", {{x, 3.0}, {y, 2.0}}, Sense::kLe, 18);
+  LpRelaxation lp(p);
+  const Solution crossed = lp.solve({2.5, 0.0}, {2.0, kInfinity});
+  EXPECT_EQ(crossed.status, SolveStatus::kInfeasible);
+  EXPECT_TRUE(crossed.values.empty());
+  const Solution own = lp.solve({0.0, 0.0}, {kInfinity, kInfinity});
+  const Solution fresh = solve_lp(p);
+  ASSERT_TRUE(own.optimal());
+  EXPECT_EQ(own.objective, fresh.objective);
+  EXPECT_EQ(own.values, fresh.values);
+  EXPECT_NEAR(own.objective, 36.0, 1e-7);
+}
+
 TEST(Problem, ViolationMeasurement) {
   Problem p;
   const int x = p.add_variable("x", VarType::kContinuous, 0, 1, 1);
@@ -147,6 +168,16 @@ TEST(Milp, InfeasibleIntegerProblem) {
   p.add_constraint("hi", {{0, 1.0}}, Sense::kLe, 0.6);
   const auto res = solve_milp(p);
   EXPECT_EQ(res.solution.status, SolveStatus::kInfeasible);
+}
+
+TEST(Milp, BranchesWhoseBoundsCrossAreInfeasible) {
+  // 0.5 <= x <= 0.8 with x integer: both children of the root cross
+  // (x <= 0 and x >= 1), so the search ends after three nodes.
+  Problem p;
+  p.add_variable("x", VarType::kInteger, 0.5, 0.8, 1);
+  const auto res = solve_milp(p);
+  EXPECT_EQ(res.solution.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(res.nodes_explored, 3);
 }
 
 TEST(Milp, OneHotSelection) {
